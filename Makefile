@@ -22,7 +22,7 @@ help:
 	@echo "  bench-smoke    warm-app ratios vs BENCH_apps.json + cold/deep/serve/shard trajectories vs BENCH_*.json + tracing-tax gate (<3%)"
 	@echo "  memscale-smoke alloc-regression gate: warm walks at 0 allocs/op (AllocsPerRun test + BenchmarkParallelWalk -benchmem)"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
-	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean) + pipelined dispatch"
+	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, concurrent read-your-writes, audit clean) + pipelined dispatch"
 	@echo "  dcbench        paper tables/figures + BENCH_parallel/micro/apps/cold/deep/serve/trace/shard JSON files"
 
 build:
@@ -88,10 +88,10 @@ serve-smoke:
 
 # Sharded-tier smoke under the race detector: the whole internal/shard
 # suite — ring placement properties, the 4-shard in-process tier
-# (routing, rename storms, converge, injected-bug detection, racing
-# rename-vs-walk), and the 2-shard over-the-wire tier (dcshard journal
-# subscription + Tshoot fallback) — plus the ninep pipelined-dispatch
-# tests the journal stream rides on.
+# (routing, rename storms, injected-bug detection, racing
+# rename-vs-walk, concurrent read-your-writes sessions with no pump),
+# and the 2-shard over-the-wire tier (peer invalidations over Tshoot) —
+# plus the ninep pipelined-dispatch tests the wire leg rides on.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/shard/
 	$(GO) test -race -run 'TestPipeline' -count=1 ./internal/ninep/

@@ -57,11 +57,14 @@ func TestConsoleCommands(t *testing.T) {
 	}
 }
 
-// TestConsoleSharded drives 'top' and 'pump' with a live sharded tier:
-// top must sample and render every shard (not just shard 0), and pump
-// must drain the coherence events a shard-0 mutation published.
+// TestConsoleSharded drives 'top' and 'resync' with a live sharded tier:
+// routed writes reach every shard without help, top must sample and
+// render every shard (not just shard 0), and resync must let peers see a
+// write the shell made straight to shard 0.
 func TestConsoleSharded(t *testing.T) {
-	g := shard.NewLocalGroup(3, dircache.Optimized(), shard.Options{})
+	cfg := dircache.Optimized()
+	cfg.Telemetry.Enabled = true // as main does for -shards
+	g := shard.NewLocalGroup(3, cfg, shard.Options{})
 	defer g.Close()
 	shardSystems = g.Systems
 	shardRouter = g.Router
@@ -70,11 +73,15 @@ func TestConsoleSharded(t *testing.T) {
 	sys := g.Systems[0]
 	p := sys.Start(dircache.RootCreds())
 	defer p.Exit()
-	if err := g.Locals[0].MkdirAll("/srv/a", 0o755); err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"/srv", "/srv/a"} {
+		if err := g.Router.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if lag := shardRouter.Lag(); lag[0] == 0 {
-		t.Fatal("shard 0 published no coherence events after MkdirAll")
+	for i, l := range g.Locals {
+		if _, err := l.Lstat("/srv/a"); err != nil {
+			t.Fatalf("shard %d: routed mkdir not visible: %v", i, err)
+		}
 	}
 
 	old := topInterval
@@ -83,26 +90,40 @@ func TestConsoleSharded(t *testing.T) {
 	if err := runCommand(sys, p, []string{"top", "1"}); err != nil {
 		t.Fatalf("sharded top: %v", err)
 	}
-	if got := len(topSnapshot(topSystems(sys)).shards); got != 3 {
+	shot := topSnapshot(topSystems(sys))
+	if got := len(shot.shards); got != 3 {
 		t.Fatalf("top sampled %d shards, want 3", got)
 	}
-
-	if err := runCommand(sys, p, []string{"pump"}); err != nil {
-		t.Fatalf("pump: %v", err)
-	}
-	for i, lag := range shardRouter.Lag() {
+	for i, lag := range shot.lag {
 		if lag != 0 {
-			t.Fatalf("shard %d journal lag %d after pump", i, lag)
+			t.Fatalf("shard %d: %d fan-outs in flight with no write running", i, lag)
+		}
+	}
+
+	// A direct write to shard 0 bypasses the router: shard 1 keeps its
+	// cached negative until resync.
+	if _, err := g.Locals[1].Lstat("/srv/b"); err == nil {
+		t.Fatal("/srv/b exists before the shell made it")
+	}
+	if err := runCommand(sys, p, []string{"mkdir", "/srv/b"}); err != nil {
+		t.Fatalf("mkdir: %v", err)
+	}
+	if err := runCommand(sys, p, []string{"resync"}); err != nil {
+		t.Fatalf("resync: %v", err)
+	}
+	for i, l := range g.Locals {
+		if _, err := l.Lstat("/srv/b"); err != nil {
+			t.Fatalf("shard %d: direct write not visible after resync: %v", i, err)
 		}
 	}
 }
 
-// TestConsolePumpUnsharded: pump without a tier refuses cleanly.
+// TestConsolePumpUnsharded: resync refuses cleanly without a tier.
 func TestConsolePumpUnsharded(t *testing.T) {
 	sys := dircache.New(dircache.Optimized())
 	p := sys.Start(dircache.RootCreds())
 	defer p.Exit()
-	if err := runCommand(sys, p, []string{"pump"}); err == nil {
-		t.Fatal("pump without -shards did not refuse")
+	if err := runCommand(sys, p, []string{"resync"}); err == nil {
+		t.Fatal("resync without -shards did not refuse")
 	}
 }

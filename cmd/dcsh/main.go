@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dcsh [-baseline] [-telemetry] [-trace-sample n] [-metrics-addr host:port] [-pprof] [-serve host:port]
+//	dcsh [-baseline] [-telemetry] [-trace-sample n] [-metrics-addr host:port] [-pprof] [-serve host:port] [-shards n]
 //
 // -telemetry attaches the observability subsystem (latency histograms, a
 // sampled walk trace ring, and the coherence event journal, inspected
@@ -46,7 +46,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (e.g. localhost:9150); implies -telemetry")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof and Go runtime metrics on the metrics endpoint; implies -telemetry (default address localhost:0)")
 	serveAddr := flag.String("serve", "", "export the kernel over 9P2000 on this address from startup (same listener as the 'serve' command)")
-	shards := flag.Int("shards", 1, "run N shard systems over one shared backend; the shell drives shard 0, 'top' and the metrics exporter grow per-shard rows, 'pump' drains the coherence journals")
+	shards := flag.Int("shards", 1, "run N shard systems over one shared backend; implies -telemetry; the shell drives shard 0, 'top' and the metrics exporter grow per-shard rows, 'resync' makes peers drop what shard 0's writes made stale")
 	flag.Parse()
 
 	if *pprofOn && *metricsAddr == "" {
@@ -56,18 +56,18 @@ func main() {
 	if *baseline {
 		cfg = dircache.Baseline()
 	}
-	if *telemetryOn || *metricsAddr != "" {
+	if *telemetryOn || *metricsAddr != "" || *shards > 1 {
 		cfg.Telemetry = dircache.TelemetryOptions{
 			Enabled: true, TraceSample: *traceSample, SlowNS: *slowUS * 1000,
 		}
 	}
 	var sys *dircache.System
 	if *shards > 1 {
-		// A sharded tier over one backend: shard 0 is the shell's kernel
-		// (telemetry comes enabled on every shard — the journal is the
-		// coherence channel). The tier is inspection-grade here: 'top'
-		// samples every shard, 'pump' applies journaled mutations to
-		// peers, and the exporter registers each shard as its own source.
+		// A sharded tier over one backend: shard 0 is the shell's kernel.
+		// The shell writes to it directly, not through the router, so its
+		// writes reach peers only on 'resync'. The tier is
+		// inspection-grade here: 'top' samples every shard and the
+		// exporter registers each shard as its own source.
 		g := shard.NewLocalGroup(*shards, cfg, shard.Options{})
 		defer g.Close()
 		sys = g.Systems[0]
@@ -85,7 +85,7 @@ func main() {
 	fmt.Printf("dcsh: simulated kernel with %s directory cache. Type 'help'.\n", mode)
 	if *shards > 1 {
 		sys.Telemetry().RegisterSystems("shard", shardSystems...)
-		fmt.Printf("sharded tier: %d systems over one backend; shell drives shard 0 ('top' shows per-shard rows, 'pump' converges)\n", *shards)
+		fmt.Printf("sharded tier: %d systems over one backend; shell drives shard 0 ('top' shows per-shard rows, 'resync' refreshes peers)\n", *shards)
 	}
 	if *metricsAddr != "" {
 		serve := sys.Telemetry().Serve
@@ -161,11 +161,11 @@ telem:  lat (walk latency quantiles)  traces (sampled walk traces)
 	top [TICKS] (live ops console: rates, hit ratios, stage latencies,
 	per-principal 9P ops, pool and slab-arena occupancy, reclaim rates,
 	drop counters; default 3 ticks. With -shards N: one row per
-	shard — walks/s, fastpath ratio, dentries, journal lag)
+	shard — walks/s, fastpath ratio, dentries, fan-outs in flight)
 	(run dcsh with -telemetry; -metrics-addr serves them over HTTP,
 	-pprof adds /debug/pprof and runtime metrics)
-shard:  pump  (drain each shard's coherence journal to its peers;
-	run dcsh with -shards N to build the tier)
+shard:  resync  (every shard but 0 drops its whole cache, so peers see
+	the shell's direct writes to shard 0; run dcsh with -shards N)
 serve:  serve [ADDR]  (export this kernel over 9P2000; default localhost:5640)
 	serve stop    (close the listener and drain connections)
 other:  help  exit
@@ -344,14 +344,15 @@ other:  help  exit
 			}
 		}
 		return cmdTop(topSystems(sys), ticks)
-	case "pump":
+	case "resync":
 		if shardRouter == nil {
 			return fmt.Errorf("not sharded (run dcsh with -shards N)")
 		}
-		n := shardRouter.Pump()
-		pub, applied, fallbacks := shardRouter.Stats()
-		fmt.Printf("pumped %d coherence event(s); totals: published %d, applied %d, fallbacks %d\n",
-			n, pub, applied, fallbacks)
+		n := 0
+		for _, peer := range shardRouter.Shards()[1:] {
+			n += peer.InvalidateAll()
+		}
+		fmt.Printf("resynced %d peer shard(s): dropped %d dentries\n", len(shardRouter.Shards())-1, n)
 	case "dropcaches":
 		n := sys.DropCaches()
 		fmt.Printf("evicted %d dentries\n", n)

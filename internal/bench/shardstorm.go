@@ -18,16 +18,18 @@ import (
 //     separate nodes, so tier capacity is the sum of per-node capacity,
 //     not wall-clock parallelism on this box; and
 //   - cross-shard rename coherence: every shard's cache is warmed on
-//     every path, a rename storm runs through the router, the journal
-//     subscription converges, and every shard — owner or not — must then
-//     answer ENOENT for the old names and resolve the new ones. Stale
-//     answers are counted (the acceptance bar is zero), and the group's
-//     cross-shard audit (shard doctors + lag + claim-vs-truth probes)
-//     must come back empty.
+//     every path, a rename storm runs through the router, and as soon as
+//     it returns every shard — owner or not — must answer ENOENT for the
+//     old names and resolve the new ones. Each routed mutation has
+//     invalidated its peers before returning, so nothing is pumped or
+//     converged first. Stale answers are counted (the acceptance bar is
+//     zero), and the group's cross-shard audit (shard doctors +
+//     claim-vs-truth probes) must come back empty.
 //
-// The deterministic half — event counts, zero fallbacks, zero stale
+// The deterministic half — fan-out counts, zero fallbacks, zero stale
 // reads, ring balance and remap fractions — is tracked across PRs in
-// BENCH_shard.json (ShardTrajectory) and gated by `dcbench -smoke`.
+// BENCH_shard.json (ShardTrajectory) and gated exactly by `dcbench
+// -smoke`.
 // The stat rates are wall-clock and reported, not smoke-gated; the
 // speedup claim (4 shards >= 3x one shard) is asserted by the package
 // test on the same sum-of-isolated-rates measurement.
@@ -55,25 +57,12 @@ func shardStormConfig() dircache.Config {
 }
 
 // shardBuildTree populates the group's namespace through the router,
-// one tree level per phase with a Converge between phases: a level's
-// directories are created by their parents' owners, and a peer that
-// bulk-populated the parent level before this one existed holds an
-// authoritative listing only the pumped create events can reopen. It
-// then warms each file's owning shard with two routed stats (fastpath
-// admission wants a second touch). Returns the file paths and the
-// directory count.
+// parents before children, then warms each file's owning shard with two
+// routed stats (fastpath admission wants a second touch). Returns the
+// file paths and the directory count.
 func shardBuildTree(g *shard.Group) (files []string, dirs int, err error) {
 	mk := func(p string) error { dirs++; return g.Router.Mkdir(p, 0o755) }
-	converge := func(phase string) error {
-		if !g.Router.Converge(0) {
-			return fmt.Errorf("%s phase did not converge", phase)
-		}
-		return nil
-	}
 	if err := mk("/srv"); err != nil {
-		return nil, 0, err
-	}
-	if err := converge("root"); err != nil {
 		return nil, 0, err
 	}
 	var apps, pkgs []string
@@ -88,9 +77,6 @@ func shardBuildTree(g *shard.Group) (files []string, dirs int, err error) {
 			pkgs = append(pkgs, fmt.Sprintf("%s/pkg%d", app, p))
 		}
 	}
-	if err := converge("app"); err != nil {
-		return nil, 0, err
-	}
 	for _, pkg := range pkgs {
 		if err := mk(pkg); err != nil {
 			return nil, 0, err
@@ -99,16 +85,10 @@ func shardBuildTree(g *shard.Group) (files []string, dirs int, err error) {
 			files = append(files, fmt.Sprintf("%s/file%d.go", pkg, f))
 		}
 	}
-	if err := converge("pkg"); err != nil {
-		return nil, 0, err
-	}
 	for _, f := range files {
 		if err := g.Router.WriteFile(f, []byte("package x\n"), 0o644); err != nil {
 			return nil, 0, err
 		}
-	}
-	if err := converge("create"); err != nil {
-		return nil, 0, err
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, f := range files {
@@ -181,7 +161,7 @@ func runShardStorm(sc Scale) (map[string]float64, error) {
 	agg4, counts := shardAggRate(sc, g, files)
 
 	// Warm EVERY shard on every path, so each holds the soon-to-be-stale
-	// subtrees; only the journal-driven invalidations can keep the
+	// subtrees; only the router's peer invalidations can keep the
 	// post-storm answers honest.
 	for _, l := range g.Locals {
 		for _, f := range files {
@@ -191,19 +171,17 @@ func runShardStorm(sc Scale) (map[string]float64, error) {
 		}
 	}
 
-	// Rename storm through the router; converge over the subscription.
+	// Rename storm through the router.
 	for a := 0; a < shardStormApps; a++ {
 		old := fmt.Sprintf("/srv/app%02d", a)
 		if err := g.Router.Rename(old, old+"-m"); err != nil {
 			return nil, fmt.Errorf("rename %s: %w", old, err)
 		}
 	}
-	if !g.Router.Converge(0) {
-		return nil, fmt.Errorf("rename storm did not converge")
-	}
 
-	// Zero stale reads: every shard, owner or not, must answer ENOENT for
-	// every old name and resolve every new one.
+	// Zero stale reads right after the storm returns: every shard, owner
+	// or not, must answer ENOENT for every old name and resolve every new
+	// one.
 	stale := 0
 	for _, l := range g.Locals {
 		for _, f := range files {
@@ -264,8 +242,8 @@ func runShardStorm(sc Scale) (map[string]float64, error) {
 }
 
 // shardDetKeys are the deterministic metrics committed to
-// BENCH_shard.json and drift-gated by `dcbench -smoke`: exact coherence
-// event counts and ring placement fractions, no wall-clock numbers.
+// BENCH_shard.json and gated exactly by `dcbench -smoke`: fan-out counts
+// and ring placement fractions, no wall-clock numbers.
 var shardDetKeys = []string{
 	"shard/shards", "shard/files", "shard/dirs", "shard/renames",
 	"shard/published", "shard/applied", "shard/fallbacks",
@@ -319,11 +297,11 @@ func Shardstorm(sc Scale) (*Report, error) {
 		r.note("WARNING: aggregate speedup %.2fx below the 3x acceptance bar", res["shard/speedup"])
 	}
 	if res["shard/stale_reads"] == 0 && res["shard/audit_findings"] == 0 {
-		r.note("rename storm converged with zero stale reads on every shard; cross-shard audit clean "+
-			"(%.0f journal events published, %.0f peer invalidations applied, %.0f fell-behind fallbacks)",
+		r.note("rename storm left zero stale reads on every shard; cross-shard audit clean "+
+			"(%.0f mutated paths fanned out, %.0f peer invalidations applied, %.0f fallbacks)",
 			res["shard/published"], res["shard/applied"], res["shard/fallbacks"])
 	} else {
-		r.note("WARNING: %.0f stale reads, %.0f audit findings after convergence",
+		r.note("WARNING: %.0f stale reads, %.0f audit findings after the storm",
 			res["shard/stale_reads"], res["shard/audit_findings"])
 	}
 	r.note("deterministic counts are the smoke-gated trajectory (BENCH_shard.json); stat rates are wall-clock and not gated")

@@ -3,10 +3,10 @@ package bench
 import "testing"
 
 // TestShardTrajectory asserts the deterministic claims the sharded tier
-// commits to in BENCH_shard.json: the rename storm converges with zero
-// stale reads and no fell-behind fallbacks, every published event is
-// applied on every peer, and the ring places keys with consistent-hash
-// properties (bounded imbalance, ~K/N remap).
+// commits to in BENCH_shard.json: the rename storm leaves zero stale
+// reads and no fallbacks, every fanned-out path is applied on every peer,
+// and the ring places keys with consistent-hash properties (bounded
+// imbalance, ~K/N remap).
 func TestShardTrajectory(t *testing.T) {
 	m, err := ShardTrajectory(SmallScale())
 	if err != nil {
@@ -18,7 +18,7 @@ func TestShardTrajectory(t *testing.T) {
 		}
 	}
 	if m["shard/published"] == 0 {
-		t.Error("no coherence events published")
+		t.Error("no mutated paths fanned out")
 	}
 	if want := m["shard/published"] * (m["shard/shards"] - 1); m["shard/applied"] != want {
 		t.Errorf("applied = %.0f, want published*(shards-1) = %.0f", m["shard/applied"], want)

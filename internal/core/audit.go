@@ -18,10 +18,10 @@ import (
 // two (mutations bump the epoch; publishes and alias re-signs bump
 // populations even when the epoch stays even), so an audit pass bracketed
 // by equal stamps raced no fastpath transition. Quiescent means no
-// mutation is mid-flight (even epoch).
+// mutation is mid-flight.
 func (c *Core) AuditStamp() ([]uint64, bool) {
 	e := c.epoch.Load()
-	return []uint64{e, uint64(c.stats.populations.Load())}, e&1 == 0
+	return []uint64{e, uint64(c.stats.populations.Load())}, c.mutating.Load() == 0
 }
 
 // auditRun accumulates findings up to a cap.

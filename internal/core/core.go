@@ -201,10 +201,14 @@ type Core struct {
 	fds   *slab.Arena[fastDentry]
 	nodes *slab.Arena[dnode]
 
-	// epoch is the global invalidation counter (§3.2): odd while a
-	// structural/permission mutation is in flight; slowpath results are
-	// only cached if it is even and unchanged across the walk.
-	epoch atomic.Uint64
+	// epoch is the global invalidation counter (§3.2): every mutation
+	// bumps it when it begins and again when it ends. mutating counts the
+	// mutations in flight; it is needed because two overlapping mutations
+	// leave the epoch even while both are running. Slowpath results are
+	// only cached if no mutation is in flight and the epoch is unchanged
+	// across the walk (tokenValid).
+	epoch    atomic.Uint64
+	mutating atomic.Int64
 
 	// shootGen is the batch-shootdown generation counter: each range
 	// shootdown bumps it once (instead of bumping every descendant's seq)
@@ -215,13 +219,6 @@ type Core struct {
 
 	// admitAfter caches Config.AdmitAfter with the default applied.
 	admitAfter int
-
-	// pathEvents, when set, makes root-level invalidation events
-	// (seq_bump / batch_shoot) carry the subject's path so cross-shard
-	// coherence subscribers can route them. Off by default: PathTo walks
-	// the parent chain and allocates, a cost only sharded deployments
-	// should pay.
-	pathEvents atomic.Bool
 
 	// regMu guards the registries below. pccs registers every live PCC
 	// (with its owning credential) so that a per-dentry version counter
@@ -489,10 +486,9 @@ func (c *Core) invalidateAllPCCs() {
 func (c *Core) BeginSlow() uint64 { return c.epoch.Load() }
 
 // tokenValid reports whether a slowpath result captured at token may be
-// cached: the epoch must be even (no mutation in flight) and unchanged.
+// cached: no mutation may be in flight and the epoch must be unchanged.
 func (c *Core) tokenValid(token uint64) bool {
-	cur := c.epoch.Load()
-	return cur == token && cur&1 == 0
+	return c.epoch.Load() == token && c.mutating.Load() == 0
 }
 
 // BeginMutation implements vfs.Hooks (§3.2): bump the invalidation epoch,
@@ -502,24 +498,21 @@ func (c *Core) tokenValid(token uint64) bool {
 // per edge, one seq_bump at the root carrying the subtree size.
 func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	tel := c.tele()
+	c.mutating.Add(1)
 	epoch := c.epoch.Add(1)
 	c.stats.invalidations.Add(1)
 	var start time.Time
-	var epath string
 	if tel != nil {
-		if c.pathEvents.Load() {
-			epath = d.PathTo()
-		}
 		tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.String())
 		start = time.Now()
 	}
 	if c.batchable(d, why) {
-		c.batchShoot(d, why, tel, epath)
+		c.batchShoot(d, why, tel)
 	} else {
 		n := c.invalidateSubtree(d, tel)
 		c.stats.seqBumps.Add(int64(n))
 		if tel != nil {
-			tel.EmitPath(telemetry.JSeqBump, d.ID(), int64(n), why.String(), epath)
+			tel.Emit(telemetry.JSeqBump, d.ID(), int64(n), why.String())
 		}
 	}
 	if tel != nil {
@@ -527,6 +520,7 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	}
 	return func() {
 		end := c.epoch.Add(1)
+		c.mutating.Add(-1)
 		if tel != nil {
 			tel.Emit(telemetry.JEpochBump, d.ID(), int64(end), why.String()+"-end")
 		}
@@ -547,19 +541,13 @@ func (c *Core) batchable(d *vfs.Dentry, why vfs.Invalidation) bool {
 	return false
 }
 
-// EnablePathEvents makes subsequent root-level invalidation events carry
-// the mutated dentry's path (see the pathEvents field). Sharded
-// deployments enable this so the coherence journal doubles as the
-// cross-shard invalidation stream.
-func (c *Core) EnablePathEvents() { c.pathEvents.Store(true) }
-
 // batchShoot is the epoch-tagged range shootdown: bump the generation
 // counter once, eagerly invalidate only the subtree root (its seq bump
 // stales PCC entries naming the root itself), and stamp the root's
 // shootMark so fastpath probes and sweeps lazily discard every
 // descendant's state on next encounter (Core.fresh). O(1) instead of
 // O(subtree), which is what rm -r and rename teardown pay per call.
-func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry, epath string) {
+func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
 	gen := c.shootGen.Add(1)
 	c.stats.batchShootdowns.Add(1)
 	c.stats.seqBumps.Add(1)
@@ -585,7 +573,7 @@ func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Te
 		}
 	}
 	if tel != nil {
-		tel.EmitPath(telemetry.JBatchShoot, d.ID(), int64(gen), why.String(), epath)
+		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.String())
 	}
 }
 
@@ -597,8 +585,9 @@ func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Te
 // caller falls back to the slow walk.
 //
 // On a clean climb the result is memoized (validGen advanced to the
-// generation read before the climb) — but only if the invalidation epoch
-// was even and unchanged across the climb. Without that gate, a racing
+// generation read before the climb) — but only if no mutation was in
+// flight and the invalidation epoch was unchanged across the climb
+// (tokenValid). Without that gate, a racing
 // mutation could stamp an ancestor's shootMark after our climb had
 // already passed it, and the memoized validGen would mask that mark
 // forever. With the gate, either we see the mark (epoch already bumped
@@ -630,7 +619,7 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 		c.lazyInvalidate(d, fd)
 		return false
 	}
-	if e1&1 == 0 && c.epoch.Load() == e1 {
+	if c.tokenValid(e1) {
 		fd.validGen.Store(gen)
 	}
 	return true
@@ -639,8 +628,7 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 // lazyInvalidate performs the per-dentry work a batch shootdown deferred:
 // bump seq (staling PCC entries), drop the DLHT entry and cached state.
 // validGen advances only when no mutation is in flight, so a dentry under
-// an active mutation keeps re-invalidating (harmlessly) until the epoch
-// settles even.
+// an active mutation keeps re-invalidating (harmlessly) until it ends.
 func (c *Core) lazyInvalidate(d *vfs.Dentry, fd *fastDentry) {
 	tel := c.tele()
 	c.stats.lazyShootdowns.Add(1)
@@ -660,7 +648,7 @@ func (c *Core) lazyInvalidate(d *vfs.Dentry, fd *fastDentry) {
 	fd.statePtr.Store(nil)
 	fd.target.Store(0)
 	fd.mu.Unlock()
-	if e := c.epoch.Load(); e&1 == 0 {
+	if c.mutating.Load() == 0 {
 		fd.validGen.Store(c.shootGen.Load())
 	}
 }

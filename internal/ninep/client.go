@@ -15,7 +15,7 @@ import (
 // connstorm benchmark, and the sharded tier's wire leg: one connection,
 // synchronous RPCs, fids allocated by a counter. An internal mutex
 // serializes RPCs, so several goroutines may share one Client (a shard
-// router interleaving walks with journal polls); for throughput work
+// router interleaving walks with peer shootdowns); for throughput work
 // drive one Client per goroutine (that is the point of a connection
 // storm).
 type Client struct {
@@ -39,9 +39,8 @@ func Dial(addr string) (*Client, error) {
 	return dial(addr, VersionTrace)
 }
 
-// DialShard connects offering the dcshard extension — the journal
-// subscription and remote shootdown the sharded tier's wire leg rides
-// on — and fails if the server does not speak it (a shard peer that
+// DialShard connects offering the dcshard extension — the remote
+// shootdown the sharded tier's wire leg rides on — and fails if the server does not speak it (a shard peer that
 // cannot propagate invalidations is not a peer).
 func DialShard(addr string) (*Client, error) {
 	c, err := dial(addr, VersionShard)
@@ -162,29 +161,6 @@ func (c *Client) rpc(req *Fcall) (*Fcall, error) {
 
 // Sharded reports whether the server negotiated the dcshard extension.
 func (c *Client) Sharded() bool { return c.shard }
-
-// Journal reads the server's coherence journal from cursor, returning
-// the filtered events, the next cursor, and whether the cursor fell
-// behind journal retention (dcshard only). The RjournalMore flag is
-// absorbed internally: truncated batches are re-polled until drained.
-func (c *Client) Journal(cursor uint64) ([]JournalRec, uint64, bool, error) {
-	var out []JournalRec
-	fell := false
-	for {
-		resp, err := c.rpc(&Fcall{Type: MsgTjournal, Offset: cursor})
-		if err != nil {
-			return out, cursor, fell, err
-		}
-		out = append(out, resp.Journal...)
-		cursor = resp.Offset
-		if resp.Mode&RjournalFellBehind != 0 {
-			fell = true
-		}
-		if resp.Mode&RjournalMore == 0 {
-			return out, cursor, fell, nil
-		}
-	}
-}
 
 // Shoot applies a remote invalidation for path on the server ("" or "/"
 // drops everything), returning the dentry count discarded (dcshard only).

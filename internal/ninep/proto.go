@@ -52,40 +52,14 @@ const (
 	MsgRwstat
 )
 
-// 9P2000.dcshard vendor-extension message types: the coherence-journal
-// subscription and the remote shootdown, numbered above the 9P2000 range.
+// 9P2000.dcshard vendor-extension message types: the remote shootdown,
+// numbered above the 9P2000 range.
 const (
-	// MsgTjournal asks for coherence-journal events after a cursor
-	// (carried in Offset). MsgRjournal answers with the retained events,
-	// the advanced cursor, and the fell-behind/truncated flags in Mode.
-	MsgTjournal uint8 = 130
-	MsgRjournal uint8 = 131
 	// MsgTshoot applies a remote invalidation for Name ("" or "/" = drop
 	// everything); MsgRshoot answers with the dentry count discarded.
 	MsgTshoot uint8 = 132
 	MsgRshoot uint8 = 133
 )
-
-// Rjournal Mode flag bits.
-const (
-	// RjournalFellBehind: the cursor lagged past journal retention; the
-	// subscriber must fail closed (full invalidation) before resuming from
-	// the returned cursor.
-	RjournalFellBehind uint8 = 1 << 0
-	// RjournalMore: the batch was truncated to fit msize; poll again
-	// immediately from the returned cursor.
-	RjournalMore uint8 = 1 << 1
-)
-
-// JournalRec is one coherence event on the wire: the journal ID (cursor
-// ordering), the event kind, its note (invalidation cause), and the
-// affected path.
-type JournalRec struct {
-	ID   uint64
-	Kind uint8
-	Note string
-	Path string
-}
 
 var msgNames = map[uint8]string{
 	MsgTversion: "Tversion", MsgRversion: "Rversion",
@@ -102,7 +76,6 @@ var msgNames = map[uint8]string{
 	MsgTremove: "Tremove", MsgRremove: "Rremove",
 	MsgTstat: "Tstat", MsgRstat: "Rstat",
 	MsgTwstat: "Twstat", MsgRwstat: "Rwstat",
-	MsgTjournal: "Tjournal", MsgRjournal: "Rjournal",
 	MsgTshoot: "Tshoot", MsgRshoot: "Rshoot",
 }
 
@@ -128,11 +101,9 @@ const (
 	// length-framed decoder, including ours).
 	VersionTrace = "9P2000.dctrace"
 	// VersionShard is the dcshard vendor extension: everything in dctrace
-	// plus the Tjournal/Rjournal coherence-journal subscription and the
-	// Tshoot/Rshoot remote shootdown — the wire legs of the sharded
-	// metadata tier. Negotiated by exact match at Tversion; negotiating it
-	// also turns on shard coherence (path-bearing journal events) on the
-	// serving System.
+	// plus the Tshoot/Rshoot remote shootdown, the wire leg a shard
+	// router uses to invalidate a peer before a routed mutation returns.
+	// Negotiated by exact match at Tversion.
 	VersionShard = "9P2000.dcshard"
 	// VersionUnknown is the Rversion reply to an unsupported version.
 	VersionUnknown = "unknown"
@@ -262,10 +233,8 @@ type Fcall struct {
 	// VersionTrace was negotiated). Zero means untraced.
 	TraceID uint64
 
-	// Journal carries Rjournal's event batch (dcshard extension). The
-	// cursor rides in Offset (both directions), the flag bits in Mode,
-	// the Tshoot path in Name, and the Rshoot drop count in Count.
-	Journal []JournalRec
+	// The dcshard extension's Tshoot path rides in Name and the Rshoot
+	// drop count in Count.
 }
 
 // --- wire primitives -------------------------------------------------
@@ -514,19 +483,6 @@ func Marshal(f *Fcall) ([]byte, error) {
 		inner.stat(f.Stat)
 		e.u16(uint16(len(inner.buf)))
 		e.buf = append(e.buf, inner.buf...)
-	case MsgTjournal:
-		e.u64(f.Offset) // cursor
-		e.u32(f.Count)  // max events (0 = server default)
-	case MsgRjournal:
-		e.u64(f.Offset) // next cursor
-		e.u8(f.Mode)    // RjournalFellBehind | RjournalMore
-		e.u16(uint16(len(f.Journal)))
-		for _, rec := range f.Journal {
-			e.u64(rec.ID)
-			e.u8(rec.Kind)
-			e.str(rec.Note)
-			e.str(rec.Path)
-		}
 	case MsgTshoot:
 		e.str(f.Name)
 	case MsgRshoot:
@@ -704,37 +660,6 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 			return nil, err
 		}
 		f.Stat, err = d.stat()
-	case MsgTjournal:
-		if f.Offset, err = d.u64(); err != nil {
-			return nil, err
-		}
-		f.Count, err = d.u32()
-	case MsgRjournal:
-		if f.Offset, err = d.u64(); err != nil {
-			return nil, err
-		}
-		if f.Mode, err = d.u8(); err != nil {
-			return nil, err
-		}
-		var n uint16
-		if n, err = d.u16(); err != nil {
-			return nil, err
-		}
-		f.Journal = make([]JournalRec, n)
-		for i := range f.Journal {
-			if f.Journal[i].ID, err = d.u64(); err != nil {
-				return nil, err
-			}
-			if f.Journal[i].Kind, err = d.u8(); err != nil {
-				return nil, err
-			}
-			if f.Journal[i].Note, err = d.str(); err != nil {
-				return nil, err
-			}
-			if f.Journal[i].Path, err = d.str(); err != nil {
-				return nil, err
-			}
-		}
 	case MsgTshoot:
 		f.Name, err = d.str()
 	case MsgRshoot:

@@ -56,25 +56,10 @@ type Server struct {
 	stats   serverStats
 	userOps sync.Map // uname → *atomic.Int64: per-principal op counts
 
-	// shardActive latches once any connection negotiates dcshard: from
-	// then on creations and rename destinations publish synthetic
-	// coherence events (the kernel journals no seq bump when a binding
-	// appears, yet a subscribed peer may hold negatives or authoritative
-	// listings the new binding falsifies).
-	shardActive atomic.Bool
-
 	// testStall is copied onto each new conn (see conn.testStall). Tests
 	// store it (atomically — the accept loop is already running) before
 	// dialing.
 	testStall atomic.Pointer[func(*Fcall)]
-}
-
-// publishCoherence emits a synthetic coherence event for path when a
-// dcshard subscriber is listening.
-func (s *Server) publishCoherence(path, note string) {
-	if s.shardActive.Load() {
-		s.sys.PublishCoherence(path, note)
-	}
 }
 
 // serverStats are the server's own counters, exported through the
@@ -325,7 +310,7 @@ type conn struct {
 	nc    net.Conn
 	msize uint32
 	trace bool // dctrace negotiated: honor trailing trace ids
-	shard bool // dcshard negotiated: journal stream + remote shootdown
+	shard bool // dcshard negotiated: remote shootdown
 
 	mu       sync.Mutex // fids, procs, inflight
 	fids     map[uint32]*fidEntry
@@ -571,8 +556,6 @@ func (c *conn) handle(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 		return c.tstat(req, span)
 	case MsgTwstat:
 		return c.twstat(req)
-	case MsgTjournal:
-		return c.tjournal(req)
 	case MsgTshoot:
 		return c.tshoot(req)
 	default:
@@ -643,14 +626,10 @@ func (c *conn) tversion(req *Fcall) (*Fcall, error) {
 	case req.Version == VersionShard:
 		// Exact matches only — checked before the 9P2000 prefix fallback,
 		// which both extensions would otherwise satisfy. dcshard implies
-		// dctrace and additionally opens the journal stream: negotiating it
-		// turns on shard coherence (path-bearing journal events) so
-		// Tjournal subscribers see this server's mutations.
+		// dctrace and additionally accepts Tshoot.
 		ver = VersionShard
 		c.trace = true
 		c.shard = true
-		c.srv.sys.EnableShardCoherence()
-		c.srv.shardActive.Store(true)
 	case req.Version == VersionTrace:
 		ver = VersionTrace
 		c.trace = true
@@ -918,7 +897,6 @@ func (c *conn) finishCreate(f *fidEntry, req *Fcall, path string, of *dircache.F
 	f.qid = qidOf(fi)
 	f.dirBuf = nil
 	f.dirOff = 0
-	c.srv.publishCoherence(path, "create")
 	return &Fcall{Type: MsgRcreate, Qid: f.qid, Iounit: c.iounit()}, nil
 }
 
@@ -1128,55 +1106,8 @@ func (c *conn) twstat(req *Fcall) (*Fcall, error) {
 			return nil, err
 		}
 		f.path = dst
-		c.srv.publishCoherence(dst, "rename-dst")
 	}
 	return &Fcall{Type: MsgRwstat}, nil
-}
-
-// tjournal serves the coherence-journal subscription (9P2000.dcshard
-// only): read path-bearing invalidation events after the client's cursor
-// (carried in Offset), return them with the advanced cursor and the
-// fell-behind flag. Events are filtered server-side to the
-// coherence-relevant shape — path-bearing, not peer-originated — so the
-// stream carries only what a remote shard must apply. The record batch is
-// capped to the negotiated msize; a truncated batch sets RjournalMore and
-// rewinds the returned cursor to the last record shipped.
-func (c *conn) tjournal(req *Fcall) (*Fcall, error) {
-	if !c.shard {
-		return nil, protoErr("journal stream requires " + VersionShard)
-	}
-	evs, next, fell := c.srv.sys.EventsSince(req.Offset)
-	budget := int(c.iounit())
-	resp := &Fcall{Type: MsgRjournal, Offset: next}
-	if fell {
-		resp.Mode |= RjournalFellBehind
-	}
-	used := 0
-	for _, ev := range evs {
-		if ev.Path == "" || ev.Note == "remote" {
-			continue
-		}
-		sz := 8 + 1 + 2 + len(ev.Note) + 2 + len(ev.Path)
-		if used+sz > budget {
-			// Rewind the cursor to the last shipped record so the client
-			// re-polls from there.
-			resp.Mode |= RjournalMore
-			if n := len(resp.Journal); n > 0 {
-				resp.Offset = resp.Journal[n-1].ID
-			} else {
-				resp.Offset = req.Offset
-			}
-			break
-		}
-		used += sz
-		resp.Journal = append(resp.Journal, JournalRec{
-			ID:   ev.ID,
-			Kind: uint8(ev.Kind),
-			Note: ev.Note,
-			Path: ev.Path,
-		})
-	}
-	return resp, nil
 }
 
 // tshoot applies a remote invalidation: drop the server cache's view of

@@ -22,8 +22,8 @@ type Group struct {
 }
 
 // NewLocalGroup builds n shards over one shared backend. base supplies
-// the per-shard cache configuration (Root and Telemetry are overridden:
-// each shard gets the shared backend and its own journal).
+// the per-shard cache configuration (Root is overridden with the shared
+// backend).
 func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	g := &Group{}
 	backend := base.Root
@@ -35,8 +35,6 @@ func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	for i := 0; i < n; i++ {
 		cfg := base
 		cfg.Root = backend
-		cfg.Telemetry = base.Telemetry
-		cfg.Telemetry.Enabled = true
 		sys := dircache.New(cfg)
 		l := NewLocal(sys)
 		g.Systems = append(g.Systems, sys)
@@ -67,9 +65,8 @@ func (g *Group) Truth(path string) (bool, error) {
 	return false, err
 }
 
-// Audit converges nothing — callers Pump/Converge first — then runs the
-// cross-shard checks against a freshly cold oracle plus each shard's own
-// doctor.
+// Audit runs the cross-shard checks against a freshly cold oracle plus
+// each shard's own doctor.
 func (g *Group) Audit() []audit.Finding {
 	g.oracle.DropCaches()
 	return g.Router.Audit(g.Truth)

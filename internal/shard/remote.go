@@ -7,16 +7,14 @@ import (
 	"dircache"
 	"dircache/internal/fsapi"
 	"dircache/internal/ninep"
-	"dircache/internal/telemetry"
 )
 
 // Remote is a Shard over a dcserve endpoint speaking the 9P2000.dcshard
-// extension: metadata ops ride the ordinary 9P verbs, the coherence
-// subscription rides Tjournal, and peer invalidations ride Tshoot. It
-// deliberately implements neither Prober nor Doctorable — probing a
-// remote cache over the wire would walk it (populating what it meant to
-// observe), so the cross-shard auditor treats remote shards as opaque
-// and relies on lag plus the server's own doctor.
+// extension: metadata ops ride the ordinary 9P verbs and peer
+// invalidations ride Tshoot. It deliberately implements neither Prober nor
+// Doctorable — probing a remote cache over the wire would walk it
+// (populating what it meant to observe), so the cross-shard auditor treats
+// remote shards as opaque and relies on the server's own doctor.
 type Remote struct {
 	c    *ninep.Client
 	root *ninep.Fid
@@ -159,24 +157,6 @@ func (r *Remote) Mkdir(path string, perm uint32) error {
 	return f.Create(name, perm&0o777|ninep.DMDir, ninep.ORead)
 }
 
-func (r *Remote) MkdirAll(path string, perm uint32) error {
-	mk := func(p string) error {
-		err := r.Mkdir(p, perm)
-		if err != nil && fsapi.ToErrno(err) == fsapi.EEXIST {
-			return nil
-		}
-		return err
-	}
-	for i := 1; i < len(path); i++ {
-		if path[i] == '/' {
-			if err := mk(path[:i]); err != nil {
-				return err
-			}
-		}
-	}
-	return mk(path)
-}
-
 // Rename renames within one directory via Twstat's name field — the only
 // rename 9P2000 expresses. The router keeps rename-heavy roots pinned, so
 // cross-directory moves never need to cross the wire; one that does
@@ -217,25 +197,6 @@ func (r *Remote) Chmod(path string, perm uint32) error {
 	st := ninep.EmptyStat()
 	st.Mode = perm & 0o777
 	return f.Wstat(st)
-}
-
-func (r *Remote) EventsSince(cursor uint64) ([]telemetry.Event, uint64, bool) {
-	recs, next, fell, err := r.c.Journal(cursor)
-	if err != nil {
-		// A dead journal stream must not read as "caught up": report
-		// fell-behind so the subscriber fails closed.
-		return nil, cursor, true
-	}
-	evs := make([]telemetry.Event, 0, len(recs))
-	for _, rec := range recs {
-		evs = append(evs, telemetry.Event{
-			ID:   rec.ID,
-			Kind: telemetry.JournalKind(rec.Kind),
-			Note: rec.Note,
-			Path: rec.Path,
-		})
-	}
-	return evs, next, fell
 }
 
 func (r *Remote) Invalidate(path string) int {

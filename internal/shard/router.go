@@ -2,36 +2,38 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"dircache"
 	"dircache/internal/audit"
-	"dircache/internal/telemetry"
 )
 
-// Router fronts a set of shards as one namespace: every operation routes
-// to the owning shard of its path (Ring), and mutations propagate to
-// peers over each shard's journal cursor subscription (Pump). The Router
-// serializes its own bookkeeping; the shards themselves are concurrent.
+// Router fronts a set of shards as one namespace and is the tier's only
+// writer: every operation routes to the owning shard of its path (Ring),
+// and a mutation returns only after every peer shard has invalidated the
+// paths it touched. The Router serializes its own bookkeeping; the shards
+// themselves are concurrent.
 type Router struct {
 	ring   *Ring
 	shards []Shard
 
-	// mu guards the subscription cursors and the recent-mutation ring the
-	// auditor probes.
+	// inflight counts, per owning shard, the routed mutations that have
+	// not yet finished invalidating their peers (Lag).
+	inflight []atomic.Int64
+
+	// mu guards the recent-mutation ring the auditor probes.
 	mu      sync.Mutex
-	cursors []uint64
 	recent  []string
 	recentW int
 
 	// Coherence counters (introspection + bench determinism gates).
-	published atomic.Uint64 // coherence events read from owners' journals
+	published atomic.Uint64 // mutated paths fanned out to peers
 	applied   atomic.Uint64 // per-peer invalidation applications
-	fallbacks atomic.Uint64 // fell-behind full invalidations
 
-	// dropInvalidations is the injected-bug switch: the pump consumes
-	// events but applies nothing, so stale reads survive for the
+	// dropInvalidations is the injected-bug switch: the fan-out counts
+	// each path but applies nothing, so stale reads survive for the
 	// cross-shard audit to catch. Tests only.
 	dropInvalidations atomic.Bool
 }
@@ -51,10 +53,10 @@ type Options struct {
 // NewRouter assembles a router over shards with consistent-hash routing.
 func NewRouter(shards []Shard, opt Options) *Router {
 	r := &Router{
-		ring:    NewRing(len(shards), opt.Vnodes),
-		shards:  shards,
-		cursors: make([]uint64, len(shards)),
-		recent:  make([]string, 0, recentCap),
+		ring:     NewRing(len(shards), opt.Vnodes),
+		shards:   shards,
+		inflight: make([]atomic.Int64, len(shards)),
+		recent:   make([]string, 0, recentCap),
 	}
 	for root, id := range opt.Pins {
 		r.ring.Pin(root, id)
@@ -88,60 +90,64 @@ func (r *Router) ReadDir(path string) ([]dircache.DirEntry, error) {
 // ReadFile routes like Stat.
 func (r *Router) ReadFile(path string) ([]byte, error) { return r.owner(path).ReadFile(path) }
 
-// WriteFile executes on the owner and records the mutation.
+// WriteFile executes on the owner and invalidates path on every peer.
 func (r *Router) WriteFile(path string, data []byte, perm uint32) error {
-	if err := r.owner(path).WriteFile(path, data, perm); err != nil {
-		return err
-	}
-	r.noteMutation(path)
-	return nil
+	return r.mutate(path, func(s Shard) error { return s.WriteFile(path, data, perm) }, path)
 }
 
-// Mkdir executes on the owner and records the mutation.
+// Mkdir executes on the owner and invalidates path on every peer.
 func (r *Router) Mkdir(path string, perm uint32) error {
-	if err := r.owner(path).Mkdir(path, perm); err != nil {
-		return err
-	}
-	r.noteMutation(path)
-	return nil
+	return r.mutate(path, func(s Shard) error { return s.Mkdir(path, perm) }, path)
 }
 
-// Rename executes on the shard owning the source binding; the
-// destination-side staleness on other shards (including the destination's
-// owner) is healed by the published events.
+// Rename executes on the shard owning the source binding and invalidates
+// both the source and the destination on every other shard, including
+// the destination's owner.
 func (r *Router) Rename(oldPath, newPath string) error {
-	if err := r.owner(oldPath).Rename(oldPath, newPath); err != nil {
-		return err
-	}
-	r.noteMutation(oldPath)
-	r.noteMutation(newPath)
-	return nil
+	return r.mutate(oldPath, func(s Shard) error { return s.Rename(oldPath, newPath) }, oldPath, newPath)
 }
 
-// Unlink executes on the owner and records the mutation.
+// Unlink executes on the owner and invalidates path on every peer.
 func (r *Router) Unlink(path string) error {
-	if err := r.owner(path).Unlink(path); err != nil {
-		return err
-	}
-	r.noteMutation(path)
-	return nil
+	return r.mutate(path, func(s Shard) error { return s.Unlink(path) }, path)
 }
 
-// Rmdir executes on the owner and records the mutation.
+// Rmdir executes on the owner and invalidates path on every peer.
 func (r *Router) Rmdir(path string) error {
-	if err := r.owner(path).Rmdir(path); err != nil {
-		return err
-	}
-	r.noteMutation(path)
-	return nil
+	return r.mutate(path, func(s Shard) error { return s.Rmdir(path) }, path)
 }
 
-// Chmod executes on the owner and records the mutation.
+// Chmod executes on the owner and invalidates path on every peer.
 func (r *Router) Chmod(path string, perm uint32) error {
-	if err := r.owner(path).Chmod(path, perm); err != nil {
+	return r.mutate(path, func(s Shard) error { return s.Chmod(path, perm) }, path)
+}
+
+// mutate runs op on the shard owning key and, once it has committed,
+// invalidates each of paths on every other shard before returning. A
+// walk on a peer that read the backend before the commit left an
+// in-lookup placeholder the invalidation kills, so no lookup that starts
+// after mutate returns can be answered from pre-mutation state.
+func (r *Router) mutate(key string, op func(Shard) error, paths ...string) error {
+	id := r.ring.Owner(key)
+	r.inflight[id].Add(1)
+	defer r.inflight[id].Add(-1)
+	if err := op(r.shards[id]); err != nil {
 		return err
 	}
-	r.noteMutation(path)
+	drop := r.dropInvalidations.Load()
+	for _, p := range paths {
+		r.noteMutation(p)
+		r.published.Add(1)
+		if drop {
+			continue
+		}
+		for j, peer := range r.shards {
+			if j != id {
+				peer.Invalidate(p)
+				r.applied.Add(1)
+			}
+		}
+	}
 	return nil
 }
 
@@ -156,102 +162,54 @@ func (r *Router) noteMutation(path string) {
 	r.mu.Unlock()
 }
 
-// coherenceEvent reports whether a journal event must propagate to peers:
-// a path-bearing root-level invalidation (seq bump or batch shootdown)
-// that did not itself originate from a peer ("remote" — re-propagating
-// those would ping-pong invalidations between shards forever).
-func coherenceEvent(ev telemetry.Event) bool {
-	if ev.Path == "" || ev.Note == "remote" {
-		return false
-	}
-	return ev.Kind == telemetry.JSeqBump || ev.Kind == telemetry.JBatchShoot
-}
+// Pump is a no-op: mutations invalidate their peers before returning, so
+// there is nothing left to deliver. Kept for callers that pump on a
+// schedule; always returns 0.
+func (r *Router) Pump() int { return 0 }
 
-// Pump drains each shard's journal from its cursor and applies the
-// mutations to every peer. A shard whose subscriber fell behind the
-// ring's retention triggers the fail-closed fallback: every peer drops
-// its whole cache (never stale; the gap is unreconstructible). Returns
-// the number of coherence events processed — 0 means the tier is
-// quiescent.
-func (r *Router) Pump() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	work := 0
-	for i, src := range r.shards {
-		evs, next, fell := src.EventsSince(r.cursors[i])
-		r.cursors[i] = next
-		if fell {
-			work++
-			r.fallbacks.Add(1)
-			if !r.dropInvalidations.Load() {
-				for j, peer := range r.shards {
-					if j != i {
-						peer.InvalidateAll()
-					}
-				}
-			}
-			continue
-		}
-		for _, ev := range evs {
-			if !coherenceEvent(ev) {
-				continue
-			}
-			work++
-			r.published.Add(1)
-			if r.dropInvalidations.Load() {
-				continue
-			}
-			for j, peer := range r.shards {
-				if j != i {
-					peer.Invalidate(ev.Path)
-					r.applied.Add(1)
-				}
-			}
-		}
-	}
-	return work
-}
-
-// Converge pumps until quiescent (or maxRounds). Applying an invalidation
-// journals only "remote"-tagged events, which the pump filters, so a
-// round that starts quiescent stays quiescent: convergence is one clean
-// round.
+// Converge reports whether every shard's Lag is 0, yielding up to
+// maxRounds times (0 = 8) for fan-outs in flight on other goroutines to
+// finish.
 func (r *Router) Converge(maxRounds int) bool {
 	if maxRounds <= 0 {
 		maxRounds = 8
 	}
-	for n := 0; n < maxRounds; n++ {
-		if r.Pump() == 0 {
+	for n := 0; ; n++ {
+		quiet := true
+		for i := range r.inflight {
+			if r.inflight[i].Load() != 0 {
+				quiet = false
+				break
+			}
+		}
+		if quiet {
 			return true
 		}
+		if n == maxRounds {
+			return false
+		}
+		runtime.Gosched()
 	}
-	return false
 }
 
 // TestDropInvalidations toggles the injected coherence bug (see
 // dropInvalidations). Tests only.
 func (r *Router) TestDropInvalidations(on bool) { r.dropInvalidations.Store(on) }
 
-// Stats reports the coherence counters.
+// Stats reports the coherence counters: paths fanned out, per-peer
+// invalidations applied, and fallbacks (always 0; no mutation is ever
+// lost, so no shard needs a full resync).
 func (r *Router) Stats() (published, applied, fallbacks uint64) {
-	return r.published.Load(), r.applied.Load(), r.fallbacks.Load()
+	return r.published.Load(), r.applied.Load(), 0
 }
 
-// Lag returns, per shard, how many retained journal events its peers have
-// not yet consumed (0 across the board when the tier is quiescent).
+// Lag returns, per shard, how many mutations it owns are still executing
+// or invalidating their peers (0 across the board when no routed
+// mutation is in flight).
 func (r *Router) Lag() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]int, len(r.shards))
-	for i, src := range r.shards {
-		evs, _, _ := src.EventsSince(r.cursors[i])
-		n := 0
-		for _, ev := range evs {
-			if coherenceEvent(ev) {
-				n++
-			}
-		}
-		out[i] = n
+	for i := range r.inflight {
+		out[i] = int(r.inflight[i].Load())
 	}
 	return out
 }
@@ -267,16 +225,11 @@ func (r *Router) Close() error {
 	return first
 }
 
-// Audit runs the tier's cross-shard agreement checks plus each shard's
-// own invariant audit:
-//
-//   - cross_shard_lag: after Converge, no shard's journal may hold
-//     coherence events its peers have not applied — a shard answering
-//     fresh for a prefix another shard shot down at a later seq is
-//     exactly an unapplied event.
-//   - cross_shard_stale: for recently mutated paths, no shard's cache may
-//     hold a claim (positive or negative) that contradicts ground truth.
-//     A miss is never stale — the next walk consults the backend.
+// Audit runs the tier's cross-shard agreement check plus each shard's own
+// invariant audit. cross_shard_stale: for recently mutated paths, no
+// shard's cache may hold a claim (positive or negative) that contradicts
+// ground truth. A miss is never stale — the next walk consults the
+// backend. Run it while no routed mutation is in flight.
 //
 // truth reports ground truth for a path (exists or not); pass nil to skip
 // the stale probe (e.g. over the wire, where no oracle exists).
@@ -289,14 +242,6 @@ func (r *Router) Audit(truth func(path string) (bool, error)) []audit.Finding {
 				f.Detail = fmt.Sprintf("shard %d: %s", i, f.Detail)
 				findings = append(findings, f)
 			}
-		}
-	}
-	for i, lag := range r.Lag() {
-		if lag > 0 {
-			findings = append(findings, audit.Finding{
-				Check:  "cross_shard_lag",
-				Detail: fmt.Sprintf("shard %d holds %d coherence events its peers have not applied", i, lag),
-			})
 		}
 	}
 	if truth != nil {

@@ -7,36 +7,35 @@ import (
 	"testing"
 
 	"dircache"
+	"dircache/internal/fsapi"
 )
 
 // buildTree populates /srv/app{0..apps-1}/lib/pkg{0..pkgs-1}/file.go
-// (directories through shard 0, files through the router) and converges
-// the creation events before returning every file path.
+// through the router, parents before children, and returns every file
+// path. No Pump or Converge: each routed mutation has invalidated its
+// peers by the time it returns.
 func buildTree(t testing.TB, g *Group, apps, pkgs int) []string {
 	t.Helper()
-	var files []string
-	for a := 0; a < apps; a++ {
-		for p := 0; p < pkgs; p++ {
-			dir := fmt.Sprintf("/srv/app%d/lib/pkg%d", a, p)
-			if err := g.Locals[0].MkdirAll(dir, 0o755); err != nil {
-				t.Fatalf("MkdirAll %s: %v", dir, err)
-			}
-			files = append(files, dir+"/file.go")
+	mkdir := func(dir string) {
+		if err := g.Router.Mkdir(dir, 0o755); err != nil && fsapi.ToErrno(err) != fsapi.EEXIST {
+			t.Fatalf("Mkdir %s: %v", dir, err)
 		}
 	}
-	// Propagate the directory creations before routing writes through
-	// other shards (their caches may hold authoritative listings of the
-	// parents from earlier walks).
-	if !g.Router.Converge(0) {
-		t.Fatal("mkdir phase did not converge")
+	var files []string
+	mkdir("/srv")
+	for a := 0; a < apps; a++ {
+		mkdir(fmt.Sprintf("/srv/app%d", a))
+		mkdir(fmt.Sprintf("/srv/app%d/lib", a))
+		for p := 0; p < pkgs; p++ {
+			dir := fmt.Sprintf("/srv/app%d/lib/pkg%d", a, p)
+			mkdir(dir)
+			files = append(files, dir+"/file.go")
+		}
 	}
 	for _, f := range files {
 		if err := g.Router.WriteFile(f, []byte("package x\n"), 0o644); err != nil {
 			t.Fatalf("WriteFile %s: %v", f, err)
 		}
-	}
-	if !g.Router.Converge(0) {
-		t.Fatal("tree build did not converge")
 	}
 	return files
 }
@@ -91,17 +90,17 @@ func TestRouterRoutesAndServes(t *testing.T) {
 	}
 }
 
-// TestRouterRenameCoherence: a cross-shard rename storm converges with
-// zero stale reads — peers that cached the moved prefix (as walk
-// ancestors) drop it when the journal events arrive, and the old path
-// answers ENOENT everywhere afterwards.
+// TestRouterRenameCoherence: a cross-shard rename storm leaves zero stale
+// reads — peers that cached the moved prefix (as walk ancestors) drop it
+// before each Rename returns, and the old path answers ENOENT everywhere
+// afterwards.
 func TestRouterRenameCoherence(t *testing.T) {
 	g := newTestGroup(t, 4)
 	files := buildTree(t, g, 4, 8)
 	warm(t, g, files)
 
-	// Rename each app root to a new name: the subtree's cached state on
-	// every non-executing shard is now stale until the pump runs.
+	// Rename each app root to a new name: every non-executing shard
+	// cached the subtree and must drop it before Rename returns.
 	for a := 0; a < 4; a++ {
 		old := fmt.Sprintf("/srv/app%d", a)
 		niu := fmt.Sprintf("/srv/app%d-moved", a)
@@ -109,29 +108,23 @@ func TestRouterRenameCoherence(t *testing.T) {
 			t.Fatalf("Rename %s: %v", old, err)
 		}
 	}
-	if !g.Router.Converge(0) {
-		t.Fatal("rename storm did not converge")
-	}
-	pub, applied, fallbacks := g.Router.Stats()
-	if pub == 0 || applied == 0 {
-		t.Fatalf("no coherence traffic: published=%d applied=%d", pub, applied)
-	}
-	if fallbacks != 0 {
-		t.Fatalf("unexpected fell-behind fallbacks: %d", fallbacks)
+	pub, applied, _ := g.Router.Stats()
+	if pub == 0 || applied != 3*pub {
+		t.Fatalf("coherence traffic: published=%d applied=%d, want applied = 3*published", pub, applied)
 	}
 	// Old paths gone, new paths present, through every route.
 	for a := 0; a < 4; a++ {
 		old := fmt.Sprintf("/srv/app%d/lib/pkg0/file.go", a)
 		niu := fmt.Sprintf("/srv/app%d-moved/lib/pkg0/file.go", a)
 		if _, err := g.Router.Lstat(old); err == nil {
-			t.Fatalf("stale read: %s still resolves after rename+converge", old)
+			t.Fatalf("stale read: %s still resolves after rename", old)
 		}
 		if _, err := g.Router.Lstat(niu); err != nil {
 			t.Fatalf("moved path %s unreachable: %v", niu, err)
 		}
 	}
 	if f := g.Audit(); len(f) != 0 {
-		t.Fatalf("post-converge audit found: %v", f)
+		t.Fatalf("post-storm audit found: %v", f)
 	}
 }
 
@@ -149,7 +142,6 @@ func TestRouterInjectedBugCaught(t *testing.T) {
 			t.Fatalf("Rename: %v", err)
 		}
 	}
-	g.Router.Converge(0)
 	findings := g.Audit()
 	stale := 0
 	for _, f := range findings {
@@ -160,59 +152,20 @@ func TestRouterInjectedBugCaught(t *testing.T) {
 	if stale == 0 {
 		t.Fatalf("injected drop-the-invalidation bug not caught; findings: %v", findings)
 	}
-	// Repair: turn the pump back on, re-publish by full fallback, and the
-	// audit must come back clean.
+	// Repair: turn the fan-out back on, resync every shard, and the audit
+	// must come back clean.
 	g.Router.TestDropInvalidations(false)
 	for _, l := range g.Locals {
 		l.InvalidateAll()
 	}
-	g.Router.Converge(0)
 	if f := g.Audit(); len(f) != 0 {
 		t.Fatalf("audit still dirty after repair: %v", f)
 	}
 }
 
-// TestRouterFellBehindFallback: a subscriber lagging past the journal's
-// retention takes the fail-closed full invalidation instead of serving
-// stale entries.
-func TestRouterFellBehindFallback(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.SignatureSeed = 0x5eed
-	// Tiny journals: easy to overrun.
-	g := NewLocalGroup(2, cfg, Options{})
-	defer g.Close()
-	files := buildTree(t, g, 2, 4)
-	warm(t, g, files)
-	g.Router.Converge(0)
-
-	// Overrun shard 0's journal between pumps: thousands of mutations on
-	// one subject directory without a pump.
-	l := g.Locals[0]
-	for i := 0; i < 6000; i++ {
-		p := fmt.Sprintf("/srv/app0/lib/pkg0/churn%d", i%7)
-		if i%2 == 0 {
-			_ = l.Mkdir(p, 0o755)
-		} else {
-			_ = l.Rmdir(p)
-		}
-	}
-	g.Router.Pump()
-	_, _, fallbacks := g.Router.Stats()
-	if fallbacks == 0 {
-		t.Fatal("journal overrun did not trigger the fail-closed fallback")
-	}
-	if !g.Router.Converge(0) {
-		t.Fatal("did not converge after fallback")
-	}
-	if f := g.Audit(); len(f) != 0 {
-		t.Fatalf("audit after fallback: %v", f)
-	}
-}
-
 // TestRouterRenameVsWalkRace: renames on one shard race walks routed to
-// every shard while the pump runs concurrently; after quiescing, the tier
-// converges and the cross-shard audit is clean. Run under -race by
-// make shard-smoke.
+// every shard; once the storm stops, the cross-shard audit is clean with
+// no Converge. Run under -race by make shard-smoke.
 func TestRouterRenameVsWalkRace(t *testing.T) {
 	g := newTestGroup(t, 4)
 	files := buildTree(t, g, 4, 6)
@@ -247,23 +200,12 @@ func TestRouterRenameVsWalkRace(t *testing.T) {
 			}
 		}(w)
 	}
-	// Pump concurrently with the storm.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			g.Router.Pump()
-		}
-	}()
 	for i := 0; i < 400; i++ {
 		_, _ = g.Router.Lstat(files[i%len(files)])
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	if !g.Router.Converge(0) {
-		t.Fatal("storm did not converge after quiesce")
-	}
 	if f := g.Audit(); len(f) != 0 {
 		t.Fatalf("audit after racing storm: %v", f)
 	}

@@ -1,16 +1,17 @@
 package shard
 
 import (
+	"sync"
+
 	"dircache"
 	"dircache/internal/audit"
-	"dircache/internal/telemetry"
 )
 
 // Shard is one member of the metadata tier: a directory cache that owns a
-// slice of the namespace, publishes its invalidation-relevant mutations
-// through its coherence journal, and applies peer invalidations by
-// discarding its cached view of the affected paths. Implemented by Local
-// (an in-process System) and Remote (a dcserve endpoint over 9P).
+// slice of the namespace, executes the mutations routed to it, and applies
+// peer invalidations by discarding its cached view of the affected paths.
+// Implemented by Local (an in-process System) and Remote (a dcserve
+// endpoint over 9P).
 type Shard interface {
 	// Metadata operations, absolute canonical paths.
 	Stat(path string) (dircache.FileInfo, error)
@@ -19,20 +20,17 @@ type Shard interface {
 	ReadFile(path string) ([]byte, error)
 	WriteFile(path string, data []byte, perm uint32) error
 	Mkdir(path string, perm uint32) error
-	MkdirAll(path string, perm uint32) error
 	Rename(oldPath, newPath string) error
 	Unlink(path string) error
 	Rmdir(path string) error
 	Chmod(path string, perm uint32) error
 
-	// EventsSince reads the shard's coherence journal from cursor (the
-	// cursor subscription: events in ID order, next cursor, fellBehind).
-	EventsSince(cursor uint64) ([]telemetry.Event, uint64, bool)
 	// Invalidate applies a peer's mutation under path to this shard's
 	// cache (cached-only teardown); returns dentries discarded.
 	Invalidate(path string) int
-	// InvalidateAll is the fail-closed fallback when this shard's
-	// subscriber fell behind a peer's journal retention.
+	// InvalidateAll is the fail-closed resync for a shard whose cache may
+	// have missed mutations of unknown paths (a write that bypassed the
+	// router).
 	InvalidateAll() int
 
 	Close() error
@@ -52,85 +50,114 @@ type Doctorable interface {
 	Doctor() audit.Report
 }
 
-// Local is a Shard over an in-process System. All operations run as root
-// through one Process; creations publish synthetic coherence events (the
-// journal records no seq bump when a binding appears, yet peers may hold
-// negatives or authoritative listings the new binding falsifies).
+// Local is a Shard over an in-process System. Every call runs as root
+// through a Process of its own for as long as it runs: a Process carries
+// per-walk state (the resume point of a directory shortcut), so
+// concurrent router clients must not share one. Idle processes are kept
+// for reuse and share one identity, and so one prefix check cache.
 type Local struct {
 	Sys *dircache.System
-	p   *dircache.Process
+	id  *dircache.Identity
+
+	mu   sync.Mutex
+	idle []*dircache.Process
 }
 
-// NewLocal wraps sys as a shard, enabling shard coherence (journal
-// attached, path-bearing invalidation events) on it.
+// NewLocal wraps sys as a shard.
 func NewLocal(sys *dircache.System) *Local {
-	sys.EnableShardCoherence()
-	return &Local{Sys: sys, p: sys.Start(dircache.RootCreds())}
+	return &Local{Sys: sys, id: dircache.NewIdentity(dircache.RootCreds())}
 }
 
-func (l *Local) Stat(path string) (dircache.FileInfo, error)  { return l.p.Stat(path) }
-func (l *Local) Lstat(path string) (dircache.FileInfo, error) { return l.p.Lstat(path) }
-func (l *Local) ReadDir(path string) ([]dircache.DirEntry, error) {
-	return l.p.ReadDir(path)
+// proc takes an idle process, or starts one; put returns it.
+func (l *Local) proc() *dircache.Process {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.idle); n > 0 {
+		p := l.idle[n-1]
+		l.idle = l.idle[:n-1]
+		return p
+	}
+	return l.Sys.StartAs(l.id)
 }
-func (l *Local) ReadFile(path string) ([]byte, error) { return l.p.ReadFile(path) }
+
+func (l *Local) put(p *dircache.Process) {
+	l.mu.Lock()
+	l.idle = append(l.idle, p)
+	l.mu.Unlock()
+}
+
+func (l *Local) Stat(path string) (dircache.FileInfo, error) {
+	p := l.proc()
+	defer l.put(p)
+	return p.Stat(path)
+}
+
+func (l *Local) Lstat(path string) (dircache.FileInfo, error) {
+	p := l.proc()
+	defer l.put(p)
+	return p.Lstat(path)
+}
+
+func (l *Local) ReadDir(path string) ([]dircache.DirEntry, error) {
+	p := l.proc()
+	defer l.put(p)
+	return p.ReadDir(path)
+}
+
+func (l *Local) ReadFile(path string) ([]byte, error) {
+	p := l.proc()
+	defer l.put(p)
+	return p.ReadFile(path)
+}
 
 func (l *Local) WriteFile(path string, data []byte, perm uint32) error {
-	if err := l.p.WriteFile(path, data, perm); err != nil {
-		return err
-	}
-	l.Sys.PublishCoherence(path, "create")
-	return nil
+	p := l.proc()
+	defer l.put(p)
+	return p.WriteFile(path, data, perm)
 }
 
 func (l *Local) Mkdir(path string, perm uint32) error {
-	if err := l.p.Mkdir(path, perm); err != nil {
-		return err
-	}
-	l.Sys.PublishCoherence(path, "create")
-	return nil
+	p := l.proc()
+	defer l.put(p)
+	return p.Mkdir(path, perm)
 }
 
-// MkdirAll publishes every prefix of path: any of the ancestors may have
-// been created by this call, and a peer may hold a stale negative or an
-// authoritative listing for each one.
-func (l *Local) MkdirAll(path string, perm uint32) error {
-	if err := l.p.MkdirAll(path, perm); err != nil {
-		return err
-	}
-	for i := 1; i < len(path); i++ {
-		if path[i] == '/' {
-			l.Sys.PublishCoherence(path[:i], "create")
-		}
-	}
-	l.Sys.PublishCoherence(path, "create")
-	return nil
-}
-
-// Rename publishes the destination path explicitly: the kernel's own
-// journal event (rename seq bump / batch shoot) carries the source path —
-// PathTo runs before the move — but peers may also hold stale state at
-// the destination (a negative dentry the move just falsified, a complete
-// listing of the destination parent).
 func (l *Local) Rename(oldPath, newPath string) error {
-	if err := l.p.Rename(oldPath, newPath); err != nil {
-		return err
-	}
-	l.Sys.PublishCoherence(newPath, "rename-dst")
-	return nil
+	p := l.proc()
+	defer l.put(p)
+	return p.Rename(oldPath, newPath)
 }
 
-func (l *Local) Unlink(path string) error { return l.p.Unlink(path) }
-func (l *Local) Rmdir(path string) error  { return l.p.Rmdir(path) }
+func (l *Local) Unlink(path string) error {
+	p := l.proc()
+	defer l.put(p)
+	return p.Unlink(path)
+}
+
+func (l *Local) Rmdir(path string) error {
+	p := l.proc()
+	defer l.put(p)
+	return p.Rmdir(path)
+}
+
 func (l *Local) Chmod(path string, perm uint32) error {
-	return l.p.Chmod(path, perm)
+	p := l.proc()
+	defer l.put(p)
+	return p.Chmod(path, perm)
 }
 
-func (l *Local) EventsSince(cursor uint64) ([]telemetry.Event, uint64, bool) {
-	return l.Sys.EventsSince(cursor)
-}
 func (l *Local) Invalidate(path string) int             { return l.Sys.RemoteInvalidate(path) }
 func (l *Local) InvalidateAll() int                     { return l.Sys.RemoteInvalidateAll() }
 func (l *Local) Claim(path string) dircache.CachedClaim { return l.Sys.CachedClaim(path) }
 func (l *Local) Doctor() audit.Report                   { return l.Sys.Doctor() }
-func (l *Local) Close() error                           { l.p.Exit(); return nil }
+
+// Close exits the idle processes.
+func (l *Local) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, p := range l.idle {
+		p.Exit()
+	}
+	l.idle = nil
+	return nil
+}

@@ -51,35 +51,37 @@ func newWireGroup(t *testing.T, n int) *wireGroup {
 	return g
 }
 
+// mkdirs creates each directory through the router, in order.
+func mkdirs(t *testing.T, r *Router, dirs ...string) {
+	t.Helper()
+	for _, d := range dirs {
+		if err := r.Mkdir(d, 0o755); err != nil {
+			t.Fatalf("Mkdir %s: %v", d, err)
+		}
+	}
+}
+
 // TestWireShardTier: the 2-shard over-the-wire deployment — route ops
-// through Remote shards, storm same-directory renames, converge over the
-// Tjournal/Tshoot legs, and verify no endpoint serves the old names.
+// through Remote shards, storm same-directory renames whose peer
+// invalidations ride Tshoot, and verify no endpoint serves the old names.
 func TestWireShardTier(t *testing.T) {
 	g := newWireGroup(t, 2)
 
-	// Build /srv/app{0,1}/lib/pkg{0..3}/file.go: directories through shard
-	// 0, files through the router, converging between phases as the local
-	// tier does.
+	// Build /srv/app{0,1}/lib/pkg{0..3}/file.go through the router.
 	var files []string
+	mkdirs(t, g.Router, "/srv")
 	for a := 0; a < 2; a++ {
+		mkdirs(t, g.Router, fmt.Sprintf("/srv/app%d", a), fmt.Sprintf("/srv/app%d/lib", a))
 		for p := 0; p < 4; p++ {
 			dir := fmt.Sprintf("/srv/app%d/lib/pkg%d", a, p)
-			if err := g.Remotes[0].MkdirAll(dir, 0o755); err != nil {
-				t.Fatalf("MkdirAll %s: %v", dir, err)
-			}
+			mkdirs(t, g.Router, dir)
 			files = append(files, dir+"/file.go")
 		}
-	}
-	if !g.Router.Converge(0) {
-		t.Fatal("mkdir phase did not converge")
 	}
 	for _, f := range files {
 		if err := g.Router.WriteFile(f, []byte("package x\n"), 0o644); err != nil {
 			t.Fatalf("WriteFile %s: %v", f, err)
 		}
-	}
-	if !g.Router.Converge(0) {
-		t.Fatal("create phase did not converge")
 	}
 
 	// Warm EVERY endpoint's cache on every path, so each server holds the
@@ -111,15 +113,9 @@ func TestWireShardTier(t *testing.T) {
 			t.Fatalf("Rename %s: %v", old, err)
 		}
 	}
-	if !g.Router.Converge(0) {
-		t.Fatal("rename storm did not converge")
-	}
-	pub, applied, fallbacks := g.Router.Stats()
-	if pub == 0 || applied == 0 {
-		t.Fatalf("no coherence traffic over the wire: published=%d applied=%d", pub, applied)
-	}
-	if fallbacks != 0 {
-		t.Fatalf("unexpected fell-behind fallbacks: %d", fallbacks)
+	pub, applied, _ := g.Router.Stats()
+	if pub == 0 || applied != pub {
+		t.Fatalf("coherence traffic over the wire: published=%d applied=%d, want equal", pub, applied)
 	}
 
 	// Zero stale reads: EVERY endpoint — owner or not — answers ENOENT for
@@ -137,10 +133,10 @@ func TestWireShardTier(t *testing.T) {
 		}
 	}
 
-	// Quiescent tier: no unconsumed coherence events, no findings.
+	// Quiescent tier: no fan-out in flight, no findings.
 	for i, lag := range g.Router.Lag() {
 		if lag != 0 {
-			t.Fatalf("shard %d journal lag %d after converge", i, lag)
+			t.Fatalf("shard %d: %d fan-outs in flight with no write running", i, lag)
 		}
 	}
 	if f := g.Router.Audit(nil); len(f) != 0 {
@@ -149,18 +145,13 @@ func TestWireShardTier(t *testing.T) {
 }
 
 // TestWireShootdownFallback: Tshoot with an empty path is the wire leg of
-// the fail-closed fallback — the endpoint drops everything and re-walks
+// the fail-closed resync — the endpoint drops everything and re-walks
 // from the backend.
 func TestWireShootdownFallback(t *testing.T) {
 	g := newWireGroup(t, 2)
-	if err := g.Remotes[0].MkdirAll("/srv/data", 0o755); err != nil {
-		t.Fatalf("MkdirAll: %v", err)
-	}
-	if err := g.Remotes[1].WriteFile("/srv/data/f.txt", []byte("x"), 0o644); err != nil {
+	mkdirs(t, g.Router, "/srv", "/srv/data")
+	if err := g.Router.WriteFile("/srv/data/f.txt", []byte("x"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
-	}
-	if !g.Router.Converge(0) {
-		t.Fatal("creations did not converge")
 	}
 	if _, err := g.Remotes[0].Lstat("/srv/data/f.txt"); err != nil {
 		t.Fatalf("warm: %v", err)

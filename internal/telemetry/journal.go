@@ -130,17 +130,15 @@ type Event struct {
 	Ref    uint64      `json:"ref,omitempty"`  // subject: dentry or credential ID
 	Aux    int64       `json:"aux,omitempty"`  // kind-specific magnitude
 	Note   string      `json:"note,omitempty"` // kind-specific tag (e.g. reason)
-	Path   string      `json:"path,omitempty"` // subject path, when path events are on
 }
 
 // journalStripe is one drop-oldest ring. The mutex is per-stripe and the
 // critical section is a few stores, so cross-subject mutations never
 // serialize on each other.
 type journalStripe struct {
-	mu         sync.Mutex
-	buf        []Event // fixed capacity; slot = total % len(buf)
-	total      uint64  // events ever pushed here; excess over len(buf) dropped
-	maxDropped uint64  // highest event ID ever overwritten in this stripe
+	mu    sync.Mutex
+	buf   []Event // fixed capacity; slot = total % len(buf)
+	total uint64  // events ever pushed here; excess over len(buf) dropped
 }
 
 // Journal is the striped coherence event ring.
@@ -164,12 +162,6 @@ func newJournal(capacity int) *Journal {
 
 // emit appends one event and returns its ID.
 func (j *Journal) emit(kind JournalKind, ref uint64, aux int64, note string) uint64 {
-	return j.emitPath(kind, ref, aux, note, "")
-}
-
-// emitPath is emit with the subject's path attached; cross-shard coherence
-// subscribers route invalidations by it.
-func (j *Journal) emitPath(kind JournalKind, ref uint64, aux int64, note, path string) uint64 {
 	ev := Event{
 		ID:     j.nextID.Add(1),
 		TimeNS: time.Now().UnixNano(),
@@ -177,7 +169,6 @@ func (j *Journal) emitPath(kind JournalKind, ref uint64, aux int64, note, path s
 		Ref:    ref,
 		Aux:    aux,
 		Note:   note,
-		Path:   path,
 	}
 	j.counts[kind].Add(1)
 	// Stripe by subject ONLY (see the package comment): folding the kind
@@ -187,15 +178,7 @@ func (j *Journal) emitPath(kind JournalKind, ref uint64, aux int64, note, path s
 	// auditor's cross-checks rely on.
 	s := &j.stripes[ref&(stripe.Stripes-1)]
 	s.mu.Lock()
-	slot := s.total % uint64(len(s.buf))
-	if s.total >= uint64(len(s.buf)) {
-		// The slot holds a live event about to be overwritten. Record its
-		// ID so cursor readers can tell "caught up" from "fell behind".
-		if old := s.buf[slot].ID; old > s.maxDropped {
-			s.maxDropped = old
-		}
-	}
-	s.buf[slot] = ev
+	s.buf[s.total%uint64(len(s.buf))] = ev
 	s.total++
 	s.mu.Unlock()
 	return ev.ID
@@ -244,43 +227,4 @@ func (j *Journal) droppedCount() (dropped uint64) {
 		s.mu.Unlock()
 	}
 	return dropped
-}
-
-// readSince is the journal's cursor-based subscription: it returns every
-// retained event with ID > cursor in ID order, plus the cursor to pass
-// next time, plus fellBehind = true when some event the reader has not yet
-// seen was already overwritten (any stripe's maxDropped exceeds the
-// cursor). A subscriber that fell behind cannot reconstruct the missed
-// mutations and must fall back to a full invalidation (fail-closed, never
-// stale); `next` still advances past everything dropped so the fallback is
-// paid once, not once per poll.
-func (j *Journal) readSince(cursor uint64) (events []Event, next uint64, fellBehind bool) {
-	next = cursor
-	for i := range j.stripes {
-		s := &j.stripes[i]
-		s.mu.Lock()
-		if s.maxDropped > cursor {
-			fellBehind = true
-		}
-		if s.maxDropped > next {
-			next = s.maxDropped
-		}
-		n := uint64(len(s.buf))
-		kept := s.total
-		if kept > n {
-			kept = n
-		}
-		for k := uint64(0); k < kept; k++ {
-			ev := s.buf[(s.total-kept+k)%n]
-			if ev.ID > cursor {
-				events = append(events, ev)
-				if ev.ID > next {
-					next = ev.ID
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(events, func(a, b int) bool { return events[a].ID < events[b].ID })
-	return events, next, fellBehind
 }

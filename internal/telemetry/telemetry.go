@@ -383,31 +383,9 @@ func (t *Telemetry) Emit(kind JournalKind, ref uint64, aux int64, note string) {
 	t.journal.emit(kind, ref, aux, note)
 }
 
-// EmitPath is Emit with the subject's path attached to the event, so
-// cross-shard coherence subscribers can route the invalidation without a
-// reverse ref→path lookup. Same nil-safety and gating as Emit.
-func (t *Telemetry) EmitPath(kind JournalKind, ref uint64, aux int64, note, path string) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	t.journal.emitPath(kind, ref, aux, note, path)
-}
-
 // Events returns the retained journal events merged into ID order, plus
 // how many were dropped to make room.
 func (t *Telemetry) Events() ([]Event, uint64) { return t.journal.dump() }
-
-// EventsSince is the journal's cursor subscription: events with ID >
-// cursor in ID order, the next cursor, and fellBehind = true when events
-// the reader never saw were already overwritten (the reader must fall
-// back to a full invalidation). Nil-safe: a nil Telemetry reports caught
-// up at the given cursor.
-func (t *Telemetry) EventsSince(cursor uint64) (events []Event, next uint64, fellBehind bool) {
-	if t == nil {
-		return nil, cursor, false
-	}
-	return t.journal.readSince(cursor)
-}
 
 // EventCounts returns how many events have been emitted per kind (the
 // counts include events since dropped from the ring) and the total.

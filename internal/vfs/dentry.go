@@ -57,6 +57,10 @@ const (
 	// audits. The flag is cleared (under the parent's lock) when the
 	// winner resolves the placeholder positive or negative.
 	DInLookup
+	// DNameDropped: the dentry has given back its name on its inode
+	// (dropName), so a second teardown of the same dentry cannot count
+	// it twice.
+	DNameDropped
 )
 
 // parentName is the atomically-swapped (parent, name) pair, so the
@@ -152,7 +156,17 @@ func (d *Dentry) Parent() *Dentry { return d.pn.Load().parent }
 // Flags returns the current flag set.
 func (d *Dentry) Flags() DentryFlags { return DentryFlags(d.flags.Load()) }
 
-func (d *Dentry) setFlags(f DentryFlags)   { d.flags.Or(uint32(f)) }
+func (d *Dentry) setFlags(f DentryFlags) { d.flags.Or(uint32(f)) }
+
+// dropName gives back d's name on its inode, at most once per inode
+// attachment, so the inode cache forgets inodes no cached dentry names.
+func (d *Dentry) dropName() {
+	ino := d.Inode()
+	if ino == nil || DentryFlags(d.flags.Or(uint32(DNameDropped)))&DNameDropped != 0 {
+		return
+	}
+	ino.sb.dropName(ino)
+}
 func (d *Dentry) clearFlags(f DentryFlags) { d.flags.And(^uint32(f)) }
 
 // IsNegative reports whether the dentry is negative (including deep).
@@ -239,22 +253,28 @@ func (d *Dentry) child(name string) *Dentry {
 	return d.children[name]
 }
 
-// attachChild links c under d (c's pn must already point at d).
-func (d *Dentry) attachChild(c *Dentry) {
-	d.mu.Lock()
+// putChildLocked maps name to c in d's children (d.mu held). A name still
+// mapped to a dead dentry is taken over without counting c again: the
+// dead one's own detachChild will find c in its place and leave both the
+// map and the count alone.
+func (d *Dentry) putChildLocked(name string, c *Dentry) {
 	if d.children == nil {
 		d.children = make(map[string]*Dentry, 4)
 	}
-	d.children[c.Name()] = c
+	if _, ok := d.children[name]; !ok {
+		d.nkids.Add(1)
+	}
+	d.children[name] = c
 	d.listValid = false
-	d.mu.Unlock()
-	d.nkids.Add(1)
 }
 
-// detachChild unlinks the named child from d's children map.
-func (d *Dentry) detachChild(name string) {
+// detachChild unlinks c from d's children map, unless a newer dentry has
+// already taken its name: a walk may install one as soon as c is marked
+// dead, and unlinking it would leave a live dentry that no child-map walk
+// (remote invalidation, teardown) can reach.
+func (d *Dentry) detachChild(name string, c *Dentry) {
 	d.mu.Lock()
-	if _, ok := d.children[name]; ok {
+	if d.children[name] == c {
 		delete(d.children, name)
 		d.nkids.Add(-1)
 	}

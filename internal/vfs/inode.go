@@ -25,6 +25,11 @@ type Inode struct {
 	// label is the object security label consumed by LSM modules (the
 	// analogue of a cached security xattr).
 	label atomic.Value // string
+
+	// names counts the cached dentries naming this inode (hard links
+	// share one Inode). Guarded by sb.mu. The inode leaves the cache
+	// when the last of them dies.
+	names int
 }
 
 // ID returns the low-level FS node ID (inode number).
@@ -120,7 +125,10 @@ func (sb *Super) Caps() fsapi.Capabilities { return sb.caps }
 // Root returns the root dentry of the superblock's dentry tree.
 func (sb *Super) Root() *Dentry { return sb.root }
 
-// inodeFor returns the cached Inode for info.ID, creating or refreshing it.
+// inodeFor returns the cached Inode for info.ID, creating or refreshing
+// it, and counts one more name for it: the caller attaches the inode to a
+// dentry, whose death gives the name back (Dentry.dropName), or gives it
+// back itself with sb.dropName.
 func (sb *Super) inodeFor(info fsapi.NodeInfo) *Inode {
 	sb.mu.Lock()
 	ino, ok := sb.icache[info.ID]
@@ -128,12 +136,23 @@ func (sb *Super) inodeFor(info fsapi.NodeInfo) *Inode {
 		ino = &Inode{sb: sb, id: info.ID}
 		sb.icache[info.ID] = ino
 	}
+	ino.names++
 	sb.mu.Unlock()
 	ino.applyInfo(info)
 	return ino
 }
 
-// forgetInode drops an inode from the cache once its last name is gone.
+// dropName gives back one of ino's names; the last one forgets the inode.
+func (sb *Super) dropName(ino *Inode) {
+	sb.mu.Lock()
+	if ino.names--; ino.names <= 0 && sb.icache[ino.id] == ino {
+		delete(sb.icache, ino.id)
+	}
+	sb.mu.Unlock()
+}
+
+// forgetInode drops an inode from the cache once its node is gone from
+// the file system.
 func (sb *Super) forgetInode(id fsapi.NodeID) {
 	sb.mu.Lock()
 	delete(sb.icache, id)

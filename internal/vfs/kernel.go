@@ -474,6 +474,17 @@ func (k *Kernel) AddFastHit(negative bool) {
 	}
 }
 
+// InodeCount reports the cached inodes across every superblock.
+func (k *Kernel) InodeCount() int {
+	k.supersMu.Lock()
+	defer k.supersMu.Unlock()
+	n := 0
+	for _, sb := range k.supers {
+		n += sb.InodeCount()
+	}
+	return n
+}
+
 // DentryCount returns the number of cached dentries.
 func (k *Kernel) DentryCount() int { return k.lru.Len() }
 
@@ -559,6 +570,7 @@ type dentryLimbo struct {
 // LRU; what remains — hash-table chain removal, hook-state reclamation,
 // and the slab-slot retire — is batched off the mutation path.
 func (k *Kernel) retireLater(d *Dentry, parentID uint64, name string, inTable bool) {
+	d.dropName()
 	k.limboMu.Lock()
 	k.limbo = append(k.limbo, dentryLimbo{ref: d.self, parentID: parentID, name: name, inTable: inTable})
 	k.limboMu.Unlock()
@@ -799,8 +811,11 @@ func (k *Kernel) Shrink(n int) int {
 	for _, d := range victims {
 		pn := d.pn.Load()
 		d.setFlags(DDead)
+		// A victim was a leaf when chosen; a walk may have installed a
+		// child under it since, and that child must not outlive it.
+		d.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
 		if pn.parent != nil {
-			pn.parent.detachChild(pn.name)
+			pn.parent.detachChild(pn.name, d)
 			wasComplete := pn.parent.Flags()&DComplete != 0
 			pn.parent.clearFlags(DComplete)
 			if wasComplete && tel != nil {

@@ -148,6 +148,7 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 		}
 	}
 	d.inode.Store(ino)
+	d.clearFlags(DNameDropped)
 	d.mu.Unlock()
 	for _, c := range kids {
 		k.killSubtreeLocked(c)
@@ -191,8 +192,11 @@ func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 	return n
 }
 
-// killRecurse marks a subtree dead, bottom-up. Only the coherence-
-// critical work happens here: the dead flag (lock-free readers discard),
+// killRecurse marks a subtree dead. Each dentry is marked before its
+// children are collected: installers refuse a dead parent under its lock,
+// so no child can slip in after the collection and outlive it. Only the
+// coherence-critical work happens here: the dead flag (lock-free readers
+// discard),
 // parent detach (child maps are authoritative), LRU removal (capacity
 // accounting), and the OnEvict hook (seq bump for fastpath validity).
 // The expensive remainder — hash-chain unlink, DLHT residue, slab-slot
@@ -200,15 +204,15 @@ func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 // teardown O(1) per dentry on the operation's critical path.
 func (k *Kernel) killRecurse(d *Dentry) int {
 	n := 1
-	// Deep-negative children first (unlink of a file with cached ENOTDIR
-	// children, alias children of a symlink).
+	d.setFlags(DDead)
+	// Children include deep negatives (unlink of a file with cached
+	// ENOTDIR children) and aliases (children of a symlink).
 	d.EachChild(func(c *Dentry) { n += k.killRecurse(c) })
 	pn := d.pn.Load()
-	d.setFlags(DDead)
 	var pid uint64
 	if pn.parent != nil {
 		pid = pn.parent.id
-		pn.parent.detachChild(pn.name)
+		pn.parent.detachChild(pn.name, d)
 	}
 	k.lru.remove(d)
 	if k.hooks != nil {
@@ -239,6 +243,7 @@ func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInf
 			k.positivize(d, ino)
 			return d
 		}
+		sb.dropName(ino)
 		return d // concurrent creation already installed it
 	}
 	k.cacheMutBegin()
@@ -479,6 +484,7 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 		// function's cacheMut bracket — one bracket for the whole teardown.
 		d.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
 		wasComplete := d.Flags()&DComplete != 0
+		d.dropName()
 		d.mu.Lock()
 		d.inode.Store(nil)
 		d.setFlags(DNegative)
@@ -605,9 +611,9 @@ func (t *Task) Rename(oldpath, newpath string) error {
 	defer k.cacheMutEnd()
 	if target != nil {
 		tIno := target.Inode()
-		target.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
 		target.setFlags(DDead)
-		newParent.D.detachChild(newName)
+		target.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
+		newParent.D.detachChild(newName, target)
 		k.lru.remove(target)
 		if tel := k.journal(); tel != nil {
 			tel.Emit(telemetry.JEvict, target.ID(), 0, "rename-target")
@@ -625,18 +631,26 @@ func (t *Task) Rename(oldpath, newpath string) error {
 		}
 	}
 
-	// A residual negative/unhydrated dentry at the destination name (not
-	// a live target — those were handled above) must die before the move,
-	// or it would shadow the moved dentry in the caches.
-	if resid := newParent.D.child(newName); resid != nil && resid != d {
-		k.killSubtreeLocked(resid)
-	}
-
 	// Move d: (oldParent, oldName) → (newParent, newName), d_move-style.
 	k.table.remove(oldParent.D.id, oldName, d)
-	oldParent.D.detachChild(oldName)
+	oldParent.D.detachChild(oldName, d)
 	d.pn.Store(&parentName{parent: newParent.D, name: newName})
-	newParent.D.attachChild(d)
+	// Any other live dentry at the destination name (not a live target —
+	// those were handled above) must die before d takes the name: a
+	// residual negative/unhydrated entry would shadow d, and an in-lookup
+	// placeholder a concurrent walk installed would be orphaned by the
+	// overwrite — live, with children, but out of every child-map walk.
+	for {
+		newParent.D.mu.Lock()
+		resid := newParent.D.children[newName]
+		if resid == nil || resid.IsDead() {
+			newParent.D.putChildLocked(newName, d)
+			newParent.D.mu.Unlock()
+			break
+		}
+		newParent.D.mu.Unlock()
+		k.killSubtreeLocked(resid)
+	}
 	k.table.insert(newParent.D.id, newName, d)
 
 	// §5.2: the old path is now known absent — keep it as a negative.

@@ -81,13 +81,13 @@ func (k *Kernel) installDedup2(parent *Dentry, name string, d *Dentry, inTable b
 		k.discardDentry(d)
 		return cur
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
+	if parent.IsDead() {
+		parent.mu.Unlock()
+		k.discardDentry(d)
+		return nil
 	}
-	parent.children[name] = d
-	parent.listValid = false
+	parent.putChildLocked(name, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
 	if inTable {
 		k.table.insert(parent.id, name, d)
 	}

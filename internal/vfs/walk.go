@@ -255,9 +255,7 @@ func (k *Kernel) walkSlow(t *Task, start PathRef, path string, fl WalkFlags, tr 
 		defer k.big.Unlock()
 		return k.walkOnce(t, start, path, fl, tr)
 	case SyncBucketLock:
-		k.renameRW.RLock()
-		defer k.renameRW.RUnlock()
-		return k.walkOnce(t, start, path, fl, tr)
+		return k.refWalk(t, start, path, fl, tr)
 	default: // SyncRCU
 		for try := 0; try < 4; try++ {
 			seq, even := k.readSeqBegin()
@@ -283,9 +281,22 @@ func (k *Kernel) walkSlow(t *Task, start PathRef, path string, fl WalkFlags, tr 
 		sc.retryWalks.Add(1)
 		tr.Event(telemetry.EvRefWalk, "")
 		tr.SetAnomaly(telemetry.AnomRefWalk)
-		k.renameRW.RLock()
-		defer k.renameRW.RUnlock()
-		return k.walkOnce(t, start, path, fl, tr)
+		return k.refWalk(t, start, path, fl, tr)
+	}
+}
+
+// refWalk walks with structural changes blocked out. Eviction does not
+// take renameRW, so a dentry can still die under the walk; that walk is
+// retried rather than returning errSeqRetry to the caller.
+func (k *Kernel) refWalk(t *Task, start PathRef, path string, fl WalkFlags, tr *telemetry.WalkTrace) (PathRef, PathRef, error) {
+	k.renameRW.RLock()
+	defer k.renameRW.RUnlock()
+	for {
+		res, lex, err := k.walkOnce(t, start, path, fl, tr)
+		if err != errSeqRetry {
+			return res, lex, err
+		}
+		k.stats.cell().retryWalks.Add(1)
 	}
 }
 
@@ -674,6 +685,12 @@ func (k *Kernel) missLookupTraced(cur PathRef, comp string, tr *telemetry.WalkTr
 		}
 		return d, nil
 	}
+	if parent.IsDead() {
+		// A teardown marks the directory dead before collecting its
+		// children; a child installed now would outlive it.
+		parent.mu.Unlock()
+		return nil, errSeqRetry
+	}
 	// Won the slot. The placeholder is allocated only now — the losing
 	// side of the old install race allocated a full dentry, registered it
 	// with the LRU, then marked it dead and removed it, pure churn. While
@@ -688,13 +705,8 @@ func (k *Kernel) missLookupTraced(cur PathRef, comp string, tr *telemetry.WalkTr
 	if k.hooks != nil {
 		d.fast = k.hooks.NewDentry(d)
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[comp] = d
-	parent.listValid = false
+	parent.putChildLocked(comp, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
 	k.cacheMutEnd()
 	k.inLookupCount.Add(1)
 
@@ -793,6 +805,9 @@ func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inL
 		// the placeholder: the outcome is stale, everyone retries.
 		parent.mu.Unlock()
 		k.cacheMutEnd()
+		if ino != nil {
+			ino.sb.dropName(ino)
+		}
 		k.finishInLookup(il, errSeqRetry)
 		return nil, errSeqRetry
 	}
@@ -808,7 +823,7 @@ func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inL
 	}
 	parent.mu.Unlock()
 	k.table.insert(parent.id, comp, d)
-	k.lru.add(d)
+	k.lruAddLive(d)
 	k.cacheMutEnd()
 	k.finishInLookup(il, nil)
 	k.maybeShrink()
@@ -842,7 +857,7 @@ func (k *Kernel) resolveNegative(parent *Dentry, comp string, d *Dentry, il *inL
 	}
 	parent.mu.Unlock()
 	k.table.insert(parent.id, comp, d)
-	k.lru.add(d)
+	k.lruAddLive(d)
 	k.cacheMutEnd()
 	k.finishInLookup(il, fsapi.ENOENT)
 	k.maybeShrink()
@@ -965,7 +980,7 @@ func (k *Kernel) bulkPopulate(parent *Dentry, pIno *Inode, comp string, d *Dentr
 // cacheMut bracket.
 func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) bool {
 	parent.mu.Lock()
-	if cur, ok := parent.children[e.Name]; ok && !cur.IsDead() {
+	if cur, ok := parent.children[e.Name]; (ok && !cur.IsDead()) || parent.IsDead() {
 		parent.mu.Unlock()
 		return false
 	}
@@ -976,16 +991,22 @@ func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) bool {
 	if k.hooks != nil {
 		d.fast = k.hooks.NewDentry(d)
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[e.Name] = d
-	parent.listValid = false
+	parent.putChildLocked(e.Name, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
-	k.lru.add(d)
+	k.lruAddLive(d)
 	k.table.insert(parent.id, e.Name, d)
 	return true
+}
+
+// lruAddLive charges a dentry that is already visible in its parent's
+// child map to the LRU. A teardown that killed it in between ran its LRU
+// removal before this add; undo the add then, or the LRU would keep a
+// handle to a slot the teardown retires.
+func (k *Kernel) lruAddLive(d *Dentry) {
+	k.lru.add(d)
+	if d.IsDead() {
+		k.lru.remove(d)
+	}
 }
 
 // negativesAllowed applies the §5.2 policy: pseudo file systems get
@@ -1010,13 +1031,8 @@ func (k *Kernel) installDedup(parent *Dentry, name string, d *Dentry) *Dentry {
 		k.discardDentry(d)
 		return cur
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[name] = d
-	parent.listValid = false
+	parent.putChildLocked(name, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
 	k.table.insert(parent.id, name, d)
 	k.maybeShrink()
 	return d

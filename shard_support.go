@@ -1,47 +1,11 @@
 package dircache
 
-import (
-	"fmt"
-
-	"dircache/internal/telemetry"
-)
+import "fmt"
 
 // Shard support: the hooks internal/shard uses to run N System instances
-// as one sharded namespace. Each shard publishes its invalidation-relevant
-// mutations through its coherence journal (path-bearing seq_bump /
-// batch_shoot events, read via the cursor subscription) and applies peer
-// mutations by discarding its cached view of the affected path —
-// fail-closed, never replayed.
-
-// EnableShardCoherence prepares the System to act as one shard of a
-// sharded namespace: telemetry is attached if missing (the journal is the
-// publication channel) and root-level invalidation events start carrying
-// the mutated path so peers can route them. Idempotent.
-func (s *System) EnableShardCoherence() {
-	if s.k.Telemetry() == nil {
-		s.EnableTelemetry(TelemetryOptions{})
-	}
-	s.core.EnablePathEvents()
-}
-
-// PublishCoherence emits a synthetic path-bearing coherence event for a
-// mutation the journal does not record on its own — a creation: the kernel
-// journals no seq bump when a binding appears, yet a peer shard may hold a
-// negative dentry or an authoritative listing that the new binding
-// falsifies. Ref 0 marks the event as synthetic (no dentry ID is 0).
-func (s *System) PublishCoherence(path, note string) {
-	if t := s.k.Telemetry(); t != nil {
-		t.EmitPath(telemetry.JSeqBump, 0, 0, note, path)
-	}
-}
-
-// EventsSince reads the System's coherence journal from cursor: events
-// with ID > cursor in ID order, the next cursor, and fellBehind = true
-// when the ring overwrote events the reader never saw (the reader must
-// fall back to RemoteInvalidateAll).
-func (s *System) EventsSince(cursor uint64) (events []JournalEvent, next uint64, fellBehind bool) {
-	return s.k.Telemetry().EventsSince(cursor)
-}
+// as one sharded namespace. The shard router executes each mutation on
+// the owning System and then applies it to every peer by discarding the
+// peer's cached view of the affected path — fail-closed, never replayed.
 
 // RemoteInvalidate applies a peer shard's mutation under path to this
 // System's cache: the cached view of the path (if any) is torn down and
@@ -51,8 +15,8 @@ func (s *System) RemoteInvalidate(path string) int {
 	return s.k.InvalidateCachedPath(path)
 }
 
-// RemoteInvalidateAll is the fail-closed fallback for a subscriber that
-// fell behind the peer's journal retention: every cached dentry is
+// RemoteInvalidateAll is the fail-closed resync for a System whose cache
+// may have missed peer mutations of unknown paths: every cached dentry is
 // dropped (evictions clear each parent's DIR_COMPLETE on the way out) and
 // the root takes an InvalRemote epoch bump, so nothing cached before the
 // gap can answer a walk. Returns the number of dentries discarded.
@@ -64,7 +28,7 @@ func (s *System) RemoteInvalidateAll() int {
 
 // CachedClaim classifies what the System's cache currently claims about a
 // path without consulting the backend; see the constants. The cross-shard
-// auditor compares claims against ground truth after coherence converges.
+// auditor compares claims against ground truth.
 type CachedClaim int
 
 const (

@@ -159,7 +159,7 @@ func (s *System) Stats() CacheStats {
 		BulkPopulations: v.BulkPopulations,
 
 		Evictions: v.Evictions,
-		Dentries:      int64(s.k.DentryCount()),
+		Dentries:  int64(s.k.DentryCount()),
 	}
 	if s.core != nil {
 		c := s.core.Stats()
@@ -217,6 +217,7 @@ type MemStats struct {
 
 	LimboQueue int64  `json:"limbo_queue"` // dentries killed but not yet swept
 	Swept      uint64 `json:"swept"`       // cumulative teardown records processed
+	Inodes     int    `json:"inodes"`      // cached inodes, each named by a cached dentry
 }
 
 // MemStats snapshots slab-arena occupancy and teardown-queue state.
@@ -227,6 +228,7 @@ func (s *System) MemStats() MemStats {
 		ChainNodes: arenaStats(cn),
 		LimboQueue: limbo,
 		Swept:      swept,
+		Inodes:     s.k.InodeCount(),
 	}
 	if s.core != nil {
 		fds, nodes := s.core.MemStats()
@@ -258,6 +260,7 @@ func (s MemStats) counters() map[string]int64 {
 	arena("dlht_nodes", s.DLHTNodes)
 	out["limbo_queue"] = s.LimboQueue
 	out["swept"] = int64(s.Swept)
+	out["inodes"] = int64(s.Inodes)
 	return out
 }
 
