@@ -19,11 +19,11 @@ help:
 	@echo "  stress         longer -race soak of the stress tests"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
-	@echo "  bench-smoke    warm-app ratios vs BENCH_apps.json + cold/deep/serve/shard trajectories vs BENCH_*.json + tracing-tax gate (<3%)"
+	@echo "  bench-smoke    gate every BENCH_*.json trajectory: cold/deep/serve/shard and app hit/neg exact, app opt/unmod ratios in a band, tracing tax <3% budget"
 	@echo "  memscale-smoke alloc-regression gate: warm walks at 0 allocs/op (AllocsPerRun test + BenchmarkParallelWalk -benchmem)"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, concurrent read-your-writes, audit clean) + pipelined dispatch"
-	@echo "  dcbench        paper tables/figures + BENCH_parallel/micro/apps/cold/deep/serve/trace/shard JSON files"
+	@echo "  dcbench        paper tables/figures + BENCH_parallel/micro/apps/cold/deep/serve/trace/mem/shard JSON files"
 
 build:
 	$(GO) build ./...
@@ -56,14 +56,15 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelWalk -count 3 .
 
-# Warm-app + cold-scan + deep-walk smoke: re-run the Table 1 suite at
-# small scale and fail if any app's opt/unmod ratio drifts beyond the
-# tolerance from the committed BENCH_apps.json baseline, then re-run the
-# deterministic cold-miss scan and deep-walk trajectories and compare
-# their exact per-op counts against the committed BENCH_cold.json and
-# BENCH_deep.json (regenerate via `make dcbench`), and finally gate the
-# tracing tax: walk tracing at 1/64 sampling must cost <3% on the warm
-# fastpath vs tracing disabled (trajectory in BENCH_trace.json).
+# Trajectory smoke: regenerate every gated BENCH_*.json trajectory at
+# small scale and gate it against the committed file of the same name (table in
+# cmd/dcbench). exact: every key of BENCH_cold/deep/serve/shard.json and
+# the app/*/hit|neg rates of BENCH_apps.json must match bit for bit, zeros
+# included, with no key on one side only. band: the app opt/unmod wall-time
+# ratios may drift ±0.35 (rm -r ±0.15). budget: walk tracing at 1/64
+# sampling must cost <3% on the warm fastpath (BENCH_trace.json). Every
+# file is checked and every failing one is named; BENCH_micro/mem.json are
+# records only. Regenerate the baselines with `make dcbench`.
 bench-smoke:
 	$(GO) run ./cmd/dcbench -scale small -smoke BENCH_apps.json
 
