@@ -5,15 +5,16 @@
 
 GO ?= go
 
-.PHONY: all help build check vet race audit ci stress bench bench-parallel bench-smoke memscale-smoke serve-smoke shard-smoke dcbench
+.PHONY: all help build check vet perfbench-build race audit ci stress bench bench-parallel bench-smoke memscale-smoke serve-smoke shard-smoke dcbench
 
 all: ci
 
 help:
 	@echo "targets:"
-	@echo "  ci             tier-1 gate: vet + check + race (run before every push)"
+	@echo "  ci             tier-1 gate: vet + perfbench-build + check + race (run before every push)"
 	@echo "  check          go build + go test ./..."
 	@echo "  vet            go vet ./..."
+	@echo "  perfbench-build build + vet the perfbench module (it reads the library's stats fields)"
 	@echo "  race           race-detector pass over the concurrent packages"
 	@echo "  audit          invariant-auditor tests (concurrent + injected-bug) under -race"
 	@echo "  stress         longer -race soak of the stress tests"
@@ -34,6 +35,13 @@ check: build
 vet:
 	$(GO) vet ./...
 
+# perfbench is its own module over the library (replace dircache => ../)
+# and reads dircache.CacheStats fields: a library change that breaks its
+# build fails here, not in the benchmark run. Its tests are not run, and
+# the binary is discarded so nothing is left in the module's directory.
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
 race:
 	$(GO) test -race ./internal/vfs/... ./internal/core/... ./internal/telemetry/...
 
@@ -43,7 +51,7 @@ audit:
 	$(GO) test -run 'Audit|Invariant' -race ./...
 
 # The tier-1 gate, folded into one target.
-ci: vet check race audit serve-smoke shard-smoke bench-smoke memscale-smoke
+ci: vet perfbench-build check race audit serve-smoke shard-smoke bench-smoke memscale-smoke
 
 # Longer soak of just the stress tests (several runs, full iteration count).
 stress:
@@ -82,8 +90,9 @@ memscale-smoke:
 # in-repo client through attach/walk/stat/readdir/read round trips under
 # two principals, assert a clean drain on shutdown — and the tracing
 # acceptance: a cold 14-component wire walk stitches into ONE
-# client+server trace and a warm sibling walk records a shortcut resume
-# with depth saved, both readable off /slow and /metrics.json.
+# client+server trace and a warm walk below a published ancestor records
+# a shortcut resume (a seeded fastpath scan) with depth saved, both
+# readable off /slow and /metrics.json.
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke|TestServeTraceSmoke' -count=1 ./cmd/dcserve
 

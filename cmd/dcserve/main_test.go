@@ -92,9 +92,10 @@ func TestServeSmoke(t *testing.T) {
 // TestServeTraceSmoke is the end-to-end tracing acceptance gate: a cold
 // 14-component walk through the 9P client must flight-record exactly ONE
 // stitched client+server trace (client RPC round trip, server Twalk
-// dispatch, kernel walk stages with backend lookups), and a warm walk of
-// a sibling must record a shortcut_resume span event carrying the depth
-// it saved — all observable over the wire and on /slow + /metrics.json.
+// dispatch, kernel walk stages with backend lookups), and a warm walk
+// below a published ancestor must seed its fastpath scan there, recording
+// a shortcut_resume span event carrying the depth it saved — all
+// observable over the wire and on /slow + /metrics.json.
 func TestServeTraceSmoke(t *testing.T) {
 	sysC := make(chan *dircache.System, 1)
 	testSysHook = func(s *dircache.System) { sysC <- s }
@@ -192,8 +193,8 @@ func TestServeTraceSmoke(t *testing.T) {
 	}
 
 	// Warm pass: publish the deepest ancestor (AdmitAfter=2 wants repeat
-	// touches), then walk a sibling — its slow walk must hash-resume from
-	// the published spine dir instead of re-walking 13 components.
+	// touches), then walk a sibling — its fastpath miss records the
+	// published spine dir as the session's resume point.
 	for i := 0; i < 3; i++ {
 		if _, err := p.Stat(spine); err != nil {
 			t.Fatalf("warm stat: %v", err)
@@ -208,7 +209,8 @@ func TestServeTraceSmoke(t *testing.T) {
 	} else {
 		t.Fatalf("warm WalkPath: %v", err)
 	}
-	// And a miss below the published ancestor (the canonical resume shape).
+	// A miss below the published ancestor then seeds its scan at the
+	// spine dir instead of hashing 13 components from the root.
 	if _, err := root.WalkPath(leafB + "x"); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatalf("want ENOENT for missing sibling, got %v", err)
 	}

@@ -74,10 +74,10 @@ type Features struct {
 	// LexicalDotDot selects Plan 9 lexical ".." semantics on the
 	// fastpath instead of Linux's extra per-dot-dot check.
 	LexicalDotDot bool
-	// DirShortcuts enables directory shortcut resume: walks resume from
-	// the deepest already-cached ancestor of the target path instead of
-	// the walk start, so lookup cost stops scaling with path depth
-	// (requires DirectLookup).
+	// DirShortcuts enables directory shortcut resume: fastpath scans
+	// seed their hash from the deepest already-cached ancestor of the
+	// target path instead of the walk start, so warm lookup cost stops
+	// scaling with path depth (requires DirectLookup).
 	DirShortcuts bool
 }
 

@@ -171,7 +171,6 @@ func (a *Auditor) Run() Report {
 	a.checkSlabLiveness(&r)
 	a.checkDirComplete(&r)
 	a.checkJournalDirComplete(&r)
-	a.checkTraceJournalShortcut(&r)
 	if a.src != nil {
 		fs, checked := a.src.AuditFindings(a.Limit - len(r.Findings))
 		r.Findings = append(r.Findings, fs...)
@@ -395,60 +394,6 @@ func (a *Auditor) checkJournalDirComplete(r *Report) {
 		if st.complete != want {
 			a.add(r, Finding{Check: "journal_dir_complete", Ref: ref,
 				Detail: fmt.Sprintf("journal says complete=%v but live flag is %v", want, st.complete)})
-		}
-	}
-}
-
-// checkTraceJournalShortcut cross-checks the flight recorder against the
-// coherence journal: a flight-recorded walk whose span carries a
-// shortcut_resume event must agree with the journal's shortcut event for
-// that trace ID about how many components the resume skipped — the two
-// observability planes describe one walk and may not tell different
-// stories. Traces are dumped BEFORE the journal: the journal emit
-// happens mid-walk, strictly before the trace is completed into the
-// flight recorder, so every dumped trace's journal entry is either in
-// the later journal dump or was dropped — and a dropped entry skips the
-// comparison rather than firing it.
-func (a *Auditor) checkTraceJournalShortcut(r *Report) {
-	tel := a.k.Telemetry()
-	if !tel.On() {
-		return
-	}
-	traces, _ := tel.SlowTraces()
-	if len(traces) == 0 {
-		return
-	}
-	events, _ := tel.Events()
-	journaled := map[uint64]int{} // trace ID → journaled depth
-	for _, ev := range events {
-		if ev.Kind != telemetry.JShortcut {
-			continue
-		}
-		var cred, depth int
-		var trace uint64
-		if _, err := fmt.Sscanf(ev.Note, "cred=%d depth=%d trace=%d", &cred, &depth, &trace); err != nil || trace == 0 {
-			continue // untraced resume, or a pre-extension note format
-		}
-		journaled[trace] = depth
-	}
-	for _, tr := range traces {
-		for _, ev := range tr.Events {
-			if ev.Kind != telemetry.EvShortcutResume {
-				continue
-			}
-			var depth int
-			if _, err := fmt.Sscanf(ev.Detail, "depth=%d", &depth); err != nil {
-				continue
-			}
-			jd, ok := journaled[tr.ID]
-			if !ok {
-				continue // journal dropped it; absence proves nothing
-			}
-			r.Checked["trace_journal_shortcut"]++
-			if jd != depth {
-				a.add(r, Finding{Check: "trace_journal_shortcut", Ref: tr.ID, Path: tr.Path,
-					Detail: fmt.Sprintf("resume span says depth=%d but journal says depth=%d", depth, jd)})
-			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -272,14 +271,4 @@ func fmtGain(base, opt float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", (base-opt)/base*100)
-}
-
-// sortedKeys returns d's keys sorted (deterministic notes/debug output).
-func sortedKeys(d map[string]float64) []string {
-	out := make([]string, 0, len(d))
-	for k := range d {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

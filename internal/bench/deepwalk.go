@@ -8,9 +8,10 @@ import (
 )
 
 // Deep-tree walk experiment: how lookup cost scales with path depth on
-// maven- and node_modules-shaped trees, with directory shortcut resume
-// (DESIGN §5f) on and off. The deterministic half — hashed bytes per
-// warm lookup, resumes and components saved per cold leaf — is tracked
+// maven- and node_modules-shaped trees, with directory shortcuts
+// (DESIGN §5f: fastpath scans seeded from a cached ancestor) on and off.
+// The deterministic half — hashed bytes per warm lookup, seeded scans
+// and components saved per cold leaf — is tracked
 // across PRs in BENCH_deep.json (DeepTrajectory) and gated by
 // `dcbench -smoke`; the timed half reports per-depth ns/op and the
 // depth-flatness ratio the acceptance criterion bounds.
@@ -22,7 +23,7 @@ var deepShapes = []string{"maven", "node"}
 // newDeepSystem builds an optimized system with shortcut resume toggled
 // and a deterministic deep tree, returning the tree for its spine/leaf
 // paths. forceSlow additionally forces every final fastpath probe to
-// miss so each lookup takes the slow walk (the slow-path resume series).
+// miss so each lookup takes the slow walk (the forced-slow series).
 func newDeepSystem(shape string, depth, leaves int, shortcuts, forceSlow bool) (*dircache.System, *dircache.Process, *workload.DeepTree, error) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 0xdeeb
@@ -56,8 +57,8 @@ func warmDeepSpine(p *dircache.Process, tr *workload.DeepTree) error {
 
 // DeepTrajectory runs the deterministic half of the deepwalk experiment
 // and returns the flat "series/point" map written to BENCH_deep.json.
-// Every metric is a per-operation count (hashed bytes, resumes, saved
-// components), so it is scale-independent and exact: drift means a
+// Every metric is a per-operation count (hashed bytes, seeded scans,
+// saved components), so it is scale-independent and exact: drift means a
 // behavior change, not noise.
 func DeepTrajectory(sc Scale) (map[string]float64, error) {
 	out := map[string]float64{}
@@ -77,8 +78,9 @@ func DeepTrajectory(sc Scale) (map[string]float64, error) {
 				}
 
 				// Cold-leaf phase: first touch of every leaf misses the
-				// fastpath; with shortcuts on, both the scan and the slow
-				// walk resume from the published deepest ancestor.
+				// fastpath; with shortcuts on, its scan seeds from the
+				// published deepest ancestor, and the slow walk still
+				// steps every component from the root.
 				before := sys.Stats()
 				for _, leaf := range tr.Leaves {
 					if _, err := p.Stat(leaf); err != nil {
@@ -188,8 +190,8 @@ func Deepwalk(sc Scale) (*Report, error) {
 }
 
 // deepWarmNS times steady-state leaf stats on one configuration. With
-// forceSlow every stat pays the fastpath scan and then a slow walk —
-// resumed from the deepest ancestor when shortcuts are on.
+// forceSlow every stat pays the fastpath scan — seeded at the deepest
+// ancestor when shortcuts are on — and then a full slow walk.
 func deepWarmNS(shape string, depth int, sc Scale, shortcuts, forceSlow bool) (float64, error) {
 	sys, p, tr, err := newDeepSystem(shape, depth, sc.DeepLeaves, shortcuts, forceSlow)
 	if err != nil {

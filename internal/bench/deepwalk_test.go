@@ -30,8 +30,10 @@ func TestDeepwalkShape(t *testing.T) {
 			t.Errorf("%s: without shortcuts hashing must scale with depth: d16=%.1f d64=%.1f", shape, off16, off64)
 		}
 		for _, depth := range SmallScale().DeepDepths {
-			if det[fmt.Sprintf("deep/%s/resumes_per_leaf/d%d/on", shape, depth)] < 1 {
-				t.Errorf("%s d%d: cold leaves never resumed", shape, depth)
+			// Each cold leaf's fastpath scan seeds once; the slow walk
+			// that follows never resumes.
+			if got := det[fmt.Sprintf("deep/%s/resumes_per_leaf/d%d/on", shape, depth)]; got != 1 {
+				t.Errorf("%s d%d: want exactly one seeded scan per cold leaf, got %.4f", shape, depth, got)
 			}
 			if det[fmt.Sprintf("deep/%s/resumes_per_leaf/d%d/off", shape, depth)] != 0 {
 				t.Errorf("%s d%d: resumes counted with the feature off", shape, depth)
@@ -59,7 +61,7 @@ func TestDeepwalkReport(t *testing.T) {
 		slowOn := r.Get("deep/maven/slow_ns/d64/on")
 		slowOff := r.Get("deep/maven/slow_ns/d64/off")
 		if slowOn <= 0 || slowOff <= slowOn {
-			return fmt.Errorf("depth-64 forced slow walks should be cheaper with resume: on=%.0f off=%.0f", slowOn, slowOff)
+			return fmt.Errorf("depth-64 forced slow walks should be cheaper with a seeded scan: on=%.0f off=%.0f", slowOn, slowOff)
 		}
 		return nil
 	})

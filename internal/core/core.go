@@ -45,11 +45,11 @@ type Config struct {
 	// parent, i.e. readdir-then-stat streaks) bypass the counter and admit
 	// eagerly regardless.
 	AdmitAfter int
-	// DirShortcuts enables directory shortcut resume (DESIGN §5f): walks
-	// resume from the deepest already-cached ancestor of the target path
-	// — the fastpath seeds its scan from its memoized state, and slow
-	// walks start at its dentry — so per-lookup cost stops scaling with
-	// path depth (cf. Stage Lookup's directory shortcuts).
+	// DirShortcuts enables directory shortcut resume (DESIGN §5f): the
+	// fastpath seeds its scan from the memoized state of the deepest
+	// already-cached ancestor of the target path, so warm per-lookup
+	// hashing stops scaling with path depth (cf. Stage Lookup's directory
+	// shortcuts). Slow walks always start at the walk start.
 	DirShortcuts bool
 }
 
@@ -80,8 +80,8 @@ type Stats struct {
 	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
 
 	// Directory shortcuts (zero when Config.DirShortcuts is off).
-	ShortcutResumes    int64 // walks resumed from a cached ancestor
-	ShortcutDepthSaved int64 // path components skipped by those resumes
+	ShortcutResumes    int64 // fastpath scans seeded from a cached ancestor
+	ShortcutDepthSaved int64 // path components skipped by those seeds
 	HashedBytes        int64 // bytes fed to the path hash (all paths)
 	ChildHops          int64 // DLHT misses answered from the base dir's cached children
 }
@@ -246,17 +246,11 @@ type Core struct {
 	testSkipBatchMark bool
 
 	// testSkipShortcutPCC, when set, makes shortcut-resume authorization
-	// skip the PCC-coverage check — resumes then skip the prefix's search
-	// permissions for credentials that never passed them. Test-only: it
-	// exists so the audit tests can prove the shortcut_resume cross-check
-	// catches an unauthorized resume.
+	// skip the PCC-coverage check — seeded scans then skip the prefix's
+	// search permissions for credentials that never passed them.
+	// Test-only: it exists so the shortcut tests can prove the coverage
+	// check is what stops an unauthorized resume.
 	testSkipShortcutPCC bool
-
-	// testSkewShortcutTraceDepth, when set, journals a shortcut resume's
-	// depth off by one for traced walks while the span keeps the true
-	// depth. Test-only: it exists so the audit tests can prove the
-	// trace_journal_shortcut cross-check catches a span/journal mismatch.
-	testSkewShortcutTraceDepth bool
 }
 
 // pccReg pairs a registered PCC with the credential it caches for.
@@ -386,19 +380,7 @@ func (c *Core) OnReclaim(d *vfs.Dentry) {
 	if fd == nil {
 		return
 	}
-	tel := c.tele()
-	fd.mu.Lock()
-	if fd.inTable != nil {
-		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-		fd.inTable = nil
-		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "reclaim")
-		}
-	}
-	fd.hasState = false
-	fd.statePtr.Store(nil)
-	fd.target.Store(0)
-	fd.mu.Unlock()
+	unpublish(c.tele(), d, fd, "reclaim")
 	c.fds.Retire(fd.self)
 }
 
@@ -553,21 +535,8 @@ func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Te
 	c.stats.seqBumps.Add(1)
 	fd := fast(d)
 	if fd != nil {
-		if fd.seq.Add(1)&pccSeqMask == 0 {
-			c.invalidateAllPCCs()
-		}
-		fd.mu.Lock()
-		if fd.inTable != nil {
-			removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-			fd.inTable = nil
-			if tel != nil {
-				tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "shootdown")
-			}
-		}
-		fd.hasState = false
-		fd.statePtr.Store(nil)
-		fd.target.Store(0)
-		fd.mu.Unlock()
+		c.bumpSeq(fd)
+		unpublish(tel, d, fd, "shootdown")
 		if !c.testSkipBatchMark {
 			fd.shootMark.Store(gen)
 		}
@@ -630,24 +599,10 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 // validGen advances only when no mutation is in flight, so a dentry under
 // an active mutation keeps re-invalidating (harmlessly) until it ends.
 func (c *Core) lazyInvalidate(d *vfs.Dentry, fd *fastDentry) {
-	tel := c.tele()
 	c.stats.lazyShootdowns.Add(1)
 	c.stats.seqBumps.Add(1)
-	if fd.seq.Add(1)&pccSeqMask == 0 {
-		c.invalidateAllPCCs()
-	}
-	fd.mu.Lock()
-	if fd.inTable != nil {
-		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-		fd.inTable = nil
-		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "lazy-shootdown")
-		}
-	}
-	fd.hasState = false
-	fd.statePtr.Store(nil)
-	fd.target.Store(0)
-	fd.mu.Unlock()
+	c.bumpSeq(fd)
+	unpublish(c.tele(), d, fd, "lazy-shootdown")
 	if c.mutating.Load() == 0 {
 		fd.validGen.Store(c.shootGen.Load())
 	}
@@ -696,31 +651,43 @@ func (c *Core) invalidateSubtree(d *vfs.Dentry, tel *telemetry.Telemetry) int {
 	n := 1
 	fd := fast(d)
 	if fd != nil {
-		if fd.seq.Add(1)&pccSeqMask == 0 {
-			// The truncated seq stored in PCC entries wrapped: stale
-			// entries from 2^31 bumps ago would match again. Wipe all
-			// PCCs, as the paper does for its 32-bit counters.
-			c.invalidateAllPCCs()
-		}
+		c.bumpSeq(fd)
 		if !c.testSkipShootdown {
-			fd.mu.Lock()
-			if fd.inTable != nil {
-				removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-				fd.inTable = nil
-				if tel != nil {
-					tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "shootdown")
-				}
-			}
 			// The path (or its permission context) is changing: recompute
 			// signature state lazily on next population.
-			fd.hasState = false
-			fd.statePtr.Store(nil)
-			fd.target.Store(0)
-			fd.mu.Unlock()
+			unpublish(tel, d, fd, "shootdown")
 		}
 	}
 	d.EachChild(func(ch *vfs.Dentry) { n += c.invalidateSubtree(ch, tel) })
 	return n
+}
+
+// bumpSeq advances fd's version counter, staling every PCC entry that
+// memoized it. When the truncated seq stored in PCC entries wraps, stale
+// entries from 2^31 bumps ago would match again, so every PCC is wiped,
+// as the paper does for its 32-bit counters.
+func (c *Core) bumpSeq(fd *fastDentry) {
+	if fd.seq.Add(1)&pccSeqMask == 0 {
+		c.invalidateAllPCCs()
+	}
+}
+
+// unpublish drops d from whatever DLHT holds it, journaling the removal
+// under note, and clears its memoized signature state and target so the
+// next population recomputes them.
+func unpublish(tel *telemetry.Telemetry, d *vfs.Dentry, fd *fastDentry, note string) {
+	fd.mu.Lock()
+	if fd.inTable != nil {
+		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
+		fd.inTable = nil
+		if tel != nil {
+			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), note)
+		}
+	}
+	fd.hasState = false
+	fd.statePtr.Store(nil)
+	fd.target.Store(0)
+	fd.mu.Unlock()
 }
 
 // removeTimed is DLHT.Remove timed into HistDLHTRemove when telemetry is

@@ -1,28 +1,20 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"dircache/internal/sig"
 	"dircache/internal/slab"
-	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
 
-// Directory shortcuts (DESIGN §5f): walks resume from the deepest
-// already-cached ancestor of the target path instead of the walk start,
-// so per-lookup cost stops scaling with depth. A resume point is found by
-// probing the DLHT with the intermediate signature states the fastpath
-// scan computed anyway (binary descent, so probe count is logarithmic in
-// depth, not linear), remembered per task, and consumed two ways:
-//
-//   - TryFast seeds its scan from the resume point's state, hashing only
-//     the unresolved suffix (the warm-path win: hash bytes per lookup
-//     stop scaling with depth);
-//   - the slow walk starts at the resume dentry with the unresolved
-//     suffix (the cold/miss-path win: per-component FS work is paid only
-//     below the resume point).
+// Directory shortcuts (DESIGN §5f): a fastpath scan resumes from the
+// deepest already-cached ancestor of the target path instead of the walk
+// start, so the hash bytes per warm lookup stop scaling with depth. A
+// resume point is found by probing the DLHT with the intermediate
+// signature states the fastpath scan computed anyway (binary descent, so
+// probe count is logarithmic in depth, not linear) and remembered per
+// task. Its one consumer is TryFast, which seeds its scan from the resume
+// point's state and hashes only the unresolved suffix; the slow walk
+// always steps every component from its start.
 //
 // Legality: a resume is only taken when the PCC covers the resume dentry
 // for the requesting credential (the memoized prefix check subsumes the
@@ -73,8 +65,7 @@ func extendsPrefix(path, prefix string) bool {
 // resumeAuthorized is the legality gate's permission half: the PCC must
 // cover the resume dentry for this credential, proving the skipped
 // prefix's search permissions were checked for it. testSkipShortcutPCC
-// is the auditor's injected-bug seam (audit finds the resulting
-// journaled resumes via the shortcut_resume check).
+// is the injected-bug seam that lets a test prove the gate matters.
 func (c *Core) resumeAuthorized(pcc *PCC, d *vfs.Dentry, fd *fastDentry) bool {
 	if c.testSkipShortcutPCC {
 		return true
@@ -216,63 +207,4 @@ func (c *Core) noteShortcut(t *vfs.Task, dl *DLHT, pcc *PCC, start vfs.PathRef, 
 		depth:    baseDepth + best,
 	}
 	t.SetShortcutScratch(rp)
-}
-
-// ShortcutResume implements vfs.Hooks: offer the slow walk a deeper
-// start. When the task's resume point covers a strict prefix of path and
-// passes the full legality check, the walk starts at the resume dentry
-// with only the unresolved suffix. The returned token is handed to
-// ShortcutCommit after the walk.
-func (c *Core) ShortcutResume(t *vfs.Task, start vfs.PathRef, path string, tr *telemetry.WalkTrace) (vfs.PathRef, string, any, bool) {
-	if !c.cfg.DirShortcuts {
-		return vfs.PathRef{}, "", nil, false
-	}
-	rp, _ := t.ShortcutScratch().(*resumePoint)
-	if rp == nil || !extendsPrefix(path, rp.prefix) {
-		return vfs.PathRef{}, "", nil, false
-	}
-	pcc := c.pccFor(t.Cred())
-	d, ok := c.resumeValid(t, pcc, start, rp)
-	if !ok {
-		return vfs.PathRef{}, "", nil, false
-	}
-	c.stats.shortcutResumes.Add(1)
-	c.stats.shortcutDepthSaved.Add(int64(rp.depth))
-	var trID uint64
-	if tr != nil {
-		trID = tr.ID
-		tr.Event(telemetry.EvShortcutResume,
-			fmt.Sprintf("depth=%d prefix=%s", rp.depth, rp.prefix))
-	}
-	if tel := c.tele(); tel != nil {
-		jdepth := rp.depth
-		if c.testSkewShortcutTraceDepth && trID != 0 {
-			jdepth++ // injected bug: journal disagrees with the span
-		}
-		tel.Emit(telemetry.JShortcut, d.ID(), int64(dentrySeq(d)),
-			fmt.Sprintf("cred=%d depth=%d trace=%d", t.Cred().ID(), jdepth, trID))
-		tel.Record(telemetry.HistShortcutDepth, time.Duration(rp.depth))
-	}
-	return vfs.PathRef{Mnt: rp.mnt, D: d}, path[len(rp.prefix):], rp, true
-}
-
-// ShortcutCommit implements vfs.Hooks: after a walk that resumed from a
-// shortcut, re-check that the skipped prefix did not change under the
-// walk (rename, shootdown, re-sign). False tells the walk to discard the
-// result and redo the lookup from its original start.
-func (c *Core) ShortcutCommit(token any) bool {
-	rp, _ := token.(*resumePoint)
-	if rp == nil {
-		return true
-	}
-	d := c.k.DentryFromRef(slab.Unpack(rp.dref))
-	if d == nil || d.IsDead() || !c.fresh(d) {
-		return false
-	}
-	fd := fast(d)
-	if fd == nil {
-		return false
-	}
-	sp := fd.statePtr.Load()
-	return sp != nil && *sp == rp.st
 }

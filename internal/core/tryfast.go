@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"dircache/internal/fsapi"
@@ -85,6 +86,10 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 				rem = path[len(rp.prefix):]
 				c.stats.shortcutResumes.Add(1)
 				c.stats.shortcutDepthSaved.Add(int64(rp.depth))
+				if tr != nil {
+					tr.Event(telemetry.EvShortcutResume,
+						fmt.Sprintf("depth=%d prefix=%s", rp.depth, rp.prefix))
+				}
 			}
 		}
 	}
@@ -162,9 +167,8 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		return cur.base, nil, true
 	}
 
-	// Any post-scan miss first mines the scan for a resume point: the
-	// slow walk about to run can then skip the cached prefix, and later
-	// fastpath scans can seed from it.
+	// Any post-scan miss first mines the scan for a resume point that
+	// later fastpath scans on this task can seed from.
 	miss := func() (vfs.PathRef, error, bool) {
 		c.noteShortcut(t, dl, pcc, start, path, &cur, seeded)
 		return vfs.PathRef{}, nil, false

@@ -159,9 +159,6 @@ func (c *Client) rpc(req *Fcall) (*Fcall, error) {
 	return resp, nil
 }
 
-// Sharded reports whether the server negotiated the dcshard extension.
-func (c *Client) Sharded() bool { return c.shard }
-
 // Shoot applies a remote invalidation for path on the server ("" or "/"
 // drops everything), returning the dentry count discarded (dcshard only).
 func (c *Client) Shoot(path string) (int, error) {

@@ -8,9 +8,8 @@ import (
 // flightRecorder is the slow-walk flight recorder: a fixed-size
 // drop-oldest ring that retains only *qualifying* completed traces —
 // those whose latency exceeded the per-op slow threshold, or that took
-// an anomalous path (slow-path fallback after a shortcut tear, a
-// coalesce wait past the threshold, a re-walk after a torn resume
-// prefix). Where the sampled trace ring answers "what do walks look
+// an anomalous path (the ref-walk fallback, a coalesce wait past the
+// threshold). Where the sampled trace ring answers "what do walks look
 // like", the flight recorder answers "what did the bad ones look like"
 // long after they scrolled out of the sample.
 type flightRecorder struct {

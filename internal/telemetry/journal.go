@@ -93,12 +93,6 @@ const (
 	// installed every child and set DIR_COMPLETE. Ref = directory
 	// dentry ID, Aux = children installed.
 	JBulkPopulate
-	// JShortcut: a slow walk resumed from a cached ancestor instead of
-	// its original start (DESIGN §5f). Ref = the resume-point dentry ID,
-	// Aux = that dentry's seq at resume time, Note = "cred=<id>
-	// depth=<skipped>". The auditor re-verifies the resuming
-	// credential's prefix check to Ref (shortcut_resume).
-	JShortcut
 
 	NumJournalKinds
 )
@@ -107,7 +101,6 @@ var journalKindNames = [NumJournalKinds]string{
 	"seq_bump", "epoch_bump", "dlht_insert", "dlht_remove", "dlht_sweep",
 	"pcc_flush", "pcc_resize", "dir_complete", "dir_incomplete", "evict",
 	"admit_defer", "admit", "batch_shoot", "coalesce", "bulk_populate",
-	"shortcut",
 }
 
 // String returns the kind's exporter name.

@@ -62,11 +62,6 @@ const (
 	// concurrent walk's in-flight backend Lookup for the same component
 	// (the singleflight wait replacing a duplicate round trip).
 	HistMissWait
-	// HistShortcutDepth is not a latency: it records, per slow-walk
-	// shortcut resume, the number of path components the resume skipped
-	// (recorded as a Duration of that many nanoseconds). The quantiles
-	// read directly as a resume-depth distribution.
-	HistShortcutDepth
 
 	// The 9P server's per-op cost centers (internal/ninep): end-to-end
 	// handling latency of each request class, from a parsed T-message to
@@ -94,7 +89,7 @@ const (
 var histNames = [NumHistograms]string{
 	"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "pcc_resize", "evict",
 	"rename_invalidate", "chmod_seq_bump", "unlink_invalidate", "dlht_remove",
-	"miss_wait", "shortcut_depth",
+	"miss_wait",
 	"ninep_attach", "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk",
 }
 
@@ -111,7 +106,6 @@ var histHelp = [NumHistograms]string{
 	"invalidation latency of unlink/rmdir mutations",
 	"latency of one DLHT entry removal",
 	"wait of a coalesced miss on a concurrent in-flight lookup",
-	"components skipped per slow-walk shortcut resume (count, not latency)",
 	"9P server Tversion/Tauth/Tattach handling latency",
 	"9P server Twalk handling latency",
 	"9P server Topen/Tcreate handling latency",
@@ -247,15 +241,6 @@ func (t *Telemetry) StartWalk(scratch *WalkTrace, path string) *WalkTrace {
 	}
 	scratch.reset(t.traceID.Add(1), path)
 	return scratch
-}
-
-// SampleWalkInto is Sampled + StartWalk in one call: nil unless the walk
-// falls in the sample.
-func (t *Telemetry) SampleWalkInto(scratch *WalkTrace, path string) *WalkTrace {
-	if !t.Sampled() {
-		return nil
-	}
-	return t.StartWalk(scratch, path)
 }
 
 // StartSpan opens an externally owned span of an end-to-end trace: a 9P

@@ -31,9 +31,6 @@ func (k *Kernel) CoherenceStamp() (seq uint64, quiet bool) {
 	return k.cacheMutSeq.Load(), k.cacheMutActive.Load() == 0
 }
 
-// CacheMutSeq returns the completed structural-change count (diagnostics).
-func (k *Kernel) CacheMutSeq() uint64 { return k.cacheMutSeq.Load() }
-
 // ChrootCount reports how many Chroot calls have happened kernel-wide.
 func (k *Kernel) ChrootCount() uint64 { return k.chrootCount.Load() }
 

@@ -113,29 +113,17 @@ type Hooks interface {
 	NewDentry(d *Dentry) any
 
 	// TryFast attempts a whole-path lookup from start. handled=false
-	// falls back to the slow walk. When handled, res/err are the final
-	// outcome (err may be ENOENT from a negative hit). tr is the walk's
-	// sampled telemetry trace — nil on almost every call — to which the
-	// hooks append their probe events.
+	// falls back to the slow walk, which always steps every component
+	// from start. When handled, res/err are the final outcome (err may
+	// be ENOENT from a negative hit). The hooks may seed the scan from a
+	// per-task resume point they keep in the task's shortcut scratch
+	// (DESIGN §5f); that point is an input to TryFast only. tr is the
+	// walk's sampled telemetry trace — nil on almost every call — to
+	// which the hooks append their probe events.
 	TryFast(t *Task, start PathRef, path string, fl WalkFlags, tr *telemetry.WalkTrace) (res PathRef, err error, handled bool)
 
 	// BeginSlow returns an invalidation-epoch token before a slow walk.
 	BeginSlow() uint64
-
-	// ShortcutResume offers the slow walk a deeper start (DESIGN §5f):
-	// when the hooks hold a still-valid resume point covering a strict
-	// prefix of path for this task, they return its location and the
-	// unresolved suffix, and the walk starts there instead of
-	// re-stepping the cached prefix. The returned token is handed to
-	// ShortcutCommit after the walk. ok=false walks from start. tr is
-	// the walk's sampled span (nil almost always) for resume events.
-	ShortcutResume(t *Task, start PathRef, path string, tr *telemetry.WalkTrace) (rs PathRef, rest string, token any, ok bool)
-
-	// ShortcutCommit re-validates the resume point a walk just used.
-	// False means the skipped prefix may have changed under the walk
-	// (rename, shootdown) and the result must be discarded and the
-	// lookup redone from its original start.
-	ShortcutCommit(token any) bool
 
 	// EndSlowLookup is called after a successful slow walk so the hooks
 	// can populate the DLHT and PCC (unless the token went stale).

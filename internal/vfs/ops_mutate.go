@@ -47,9 +47,10 @@ func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 // permission failure whose errno the slow walk must produce) and the
 // caller falls back. With known=true the result is exactly what a slow
 // walk's component step would yield: a live positive child (LRU-touched)
-// or ENOENT/ENOTDIR from a negative child (returned alongside the errno
-// so the caller can meter it) or, with a nil dentry, from a complete
-// directory that lacks the name.
+// or ENOENT/ENOTDIR from a negative child (returned alongside the errno)
+// or, with a nil dentry, from a complete directory that lacks the name.
+// A negative answer is not metered here: the caller counts it once, as
+// a fastpath negative hit.
 func (k *Kernel) FastChildLookup(t *Task, parent PathRef, name string) (*Dentry, error, bool) {
 	pd := parent.D
 	if pd == nil || pd.IsDead() {
@@ -71,7 +72,6 @@ func (k *Kernel) FastChildLookup(t *Task, parent PathRef, name string) (*Dentry,
 		sc.cacheHits.Add(1)
 		k.lru.touch(d)
 		if d.IsNegative() {
-			sc.negativeHits.Add(1)
 			if d.Flags()&DNotDir != 0 {
 				return d, fsapi.ENOTDIR, true
 			}
@@ -83,7 +83,6 @@ func (k *Kernel) FastChildLookup(t *Task, parent PathRef, name string) (*Dentry,
 	// the child map (bulk population installs children before setting it).
 	if k.cfg.DirCompleteness && pd.Flags()&DComplete != 0 &&
 		pd.child(name) == nil {
-		sc.completeShort.Add(1)
 		return nil, fsapi.ENOENT, true
 	}
 	return nil, nil, false

@@ -29,9 +29,10 @@ type Task struct {
 	segScratch []segment
 	segBusy    atomic.Bool
 
-	// shortcutP is the installed Hooks' walk-resume scratch: an opaque
-	// immutable value swapped whole (the walk-resume analogue of
-	// Dentry.fast). Concurrent walks on one task may race to replace it;
+	// shortcutP is the installed Hooks' resume-point scratch: an opaque
+	// immutable value swapped whole (the per-task analogue of
+	// Dentry.fast) that seeds the hooks' fastpath scan; the slow walk
+	// never reads it. Concurrent walks on one task may race to replace it;
 	// readers validate whatever snapshot they load, so a lost store only
 	// costs a future resume opportunity. Boxed so Recycle can clear it
 	// (atomic.Value cannot store nil or change concrete types).
@@ -55,14 +56,14 @@ type Task struct {
 // one concrete type, letting Recycle store an empty box to clear it.
 type scratchBox struct{ v any }
 
-// ShortcutScratch returns the hook-owned walk-resume scratch value, or
+// ShortcutScratch returns the hook-owned resume-point scratch value, or
 // nil if none has been recorded.
 func (t *Task) ShortcutScratch() any {
 	b, _ := t.shortcutP.Load().(scratchBox)
 	return b.v
 }
 
-// SetShortcutScratch records the hook-owned walk-resume scratch. Values
+// SetShortcutScratch records the hook-owned resume-point scratch. Values
 // must be immutable and of one concrete type per hooks implementation.
 func (t *Task) SetShortcutScratch(v any) { t.shortcutP.Store(scratchBox{v: v}) }
 
@@ -175,7 +176,7 @@ func (t *Task) Fork() *Task {
 
 // Recycle returns the task to its newborn state under new credentials:
 // initial namespace, root and cwd at "/", and — critically for pooled
-// multi-tenant reuse — the walk-resume shortcut scratch cleared, so a
+// multi-tenant reuse — the shortcut resume-point scratch cleared, so a
 // recycled task can never hash-resume from a previous tenant's prefix.
 // The segment scratch buffer is kept (its contents are zeroed on every
 // release). Must not race in-flight walks on the same task.

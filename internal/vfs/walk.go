@@ -114,14 +114,6 @@ func hasMoreComponents(s string) bool {
 	return false
 }
 
-// startFor picks the walk's starting location for path.
-func (t *Task) startFor(path string) PathRef {
-	if len(path) > 0 && path[0] == '/' {
-		return t.Root()
-	}
-	return t.Cwd()
-}
-
 // Walk resolves path to a PathRef using the fastpath when installed,
 // falling back to the component-at-a-time slow walk. Relative paths start
 // at the task's working directory.
@@ -201,34 +193,14 @@ func (t *Task) WalkFrom(at PathRef, path string, fl WalkFlags) (PathRef, error) 
 	if k.hooks != nil {
 		token = k.hooks.BeginSlow()
 	}
-	// Shortcut resume (DESIGN §5f): let the hooks move the walk start to
-	// the deepest cached ancestor they can prove usable, so the slow walk
-	// only steps the unresolved suffix. The epoch token is taken first:
-	// population legality must cover the resumed walk's whole window.
-	slowStart, slowPath := start, path
-	var scTok any
-	if k.hooks != nil && fl&WalkNoFast == 0 {
-		if rs, rest, tok, ok := k.hooks.ShortcutResume(t, start, path, tr); ok {
-			slowStart, slowPath, scTok = rs, rest, tok
-		}
-	}
-	res, lexical, err := k.walkSlow(t, slowStart, slowPath, fl, tr)
-	if scTok != nil && (err == errSeqRetry || !k.hooks.ShortcutCommit(scTok)) {
-		// The resume point went stale while the walk ran (rename or
-		// shootdown of the skipped prefix): the result may reflect the
-		// ancestor's old location. Redo authoritatively from the start.
-		tr.SetAnomaly(telemetry.AnomShortcutTorn)
-		tr.Event(telemetry.EvSeqRetry, "shortcut torn, authoritative redo")
-		slowStart, slowPath = start, path
-		res, lexical, err = k.walkSlow(t, slowStart, slowPath, fl, tr)
-	}
+	res, lexical, err := k.walkSlow(t, start, path, fl, tr)
 	if k.hooks != nil {
 		if err == nil {
-			k.hooks.EndSlowLookup(token, t, slowStart, slowPath, lexical, res)
+			k.hooks.EndSlowLookup(token, t, start, path, lexical, res)
 		} else {
 			var f *WalkFailure
 			if errors.As(err, &f) {
-				k.hooks.EndSlowNegative(token, t, slowStart, slowPath, f)
+				k.hooks.EndSlowNegative(token, t, start, path, f)
 			}
 		}
 	}

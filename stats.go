@@ -80,8 +80,8 @@ type CacheStats struct {
 	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
 
 	// Directory shortcuts (zero when Features.DirShortcuts is off).
-	ShortcutResumes    int64 // walks resumed from a cached ancestor
-	ShortcutDepthSaved int64 // path components skipped by those resumes
+	ShortcutResumes    int64 // fastpath scans seeded from a cached ancestor
+	ShortcutDepthSaved int64 // path components skipped by those seeds
 	HashedBytes        int64 // bytes fed to the path hash, all walks
 	ChildHops          int64 // DLHT misses answered from a parent's cached children
 }
